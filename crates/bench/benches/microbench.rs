@@ -280,10 +280,11 @@ fn bench_engine_mediums(c: &mut Criterion) {
                 )
             },
             |(mut s, mut d, mut run_rng)| {
-                let outcome = ocd_heuristics::simulate_dynamic(
+                let mut medium = ocd_heuristics::Dynamic::new(&mut d);
+                let outcome = ocd_heuristics::simulate_with(
                     &instance,
                     &mut s,
-                    &mut d,
+                    &mut medium,
                     &config,
                     &mut run_rng,
                 );
@@ -297,11 +298,11 @@ fn bench_engine_mediums(c: &mut Criterion) {
         b.iter_batched(
             || (DripFeed::new(), StdRng::seed_from_u64(1)),
             |(mut s, mut run_rng)| {
-                let outcome = ocd_heuristics::simulate_underlay(
+                let mut medium = ocd_heuristics::PhysicalUnderlay::new(&topology, &mapping);
+                let outcome = ocd_heuristics::simulate_with(
                     &instance,
                     &mut s,
-                    &topology,
-                    &mapping,
+                    &mut medium,
                     &config,
                     &mut run_rng,
                 );

@@ -116,15 +116,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let config = SimConfig {
                 max_steps: *max_steps,
                 knowledge_delay: *delay,
-                // Only the deterministic metric set: `--metrics`
-                // snapshots must be byte-identical across equal-seed
-                // invocations, so wall-clock timings stay off.
+                // `--metrics` snapshots are derived from the run, so
+                // equal-seed invocations write byte-identical files.
                 metrics: metrics.is_some(),
                 // `--record` artifacts embed the causal provenance
                 // digest (RunRecord schema v3), which `certify`
                 // cross-checks against a schedule replay.
                 provenance: record.is_some(),
-                ..SimConfig::default()
             };
             let mut rng = StdRng::seed_from_u64(*seed);
             // Instances carrying node budgets run under the
@@ -952,7 +950,10 @@ fn load_certified_trace(path: &str) -> Result<(ocd_core::RunRecord, ProvenanceTr
 
 fn load_instance(path: &str) -> Result<Instance, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
+    let instance: Instance =
+        serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    instance.check_shape().map_err(|e| format!("{path}: {e}"))?;
+    Ok(instance)
 }
 
 #[cfg(test)]
@@ -1836,5 +1837,77 @@ mod tests {
         assert!(run(&["run", "--instance", &inst, "--strategy", "quantum"])
             .unwrap_err()
             .contains("unknown strategy"));
+    }
+
+    #[test]
+    fn hostile_inputs_are_typed_errors() {
+        use ocd_core::TokenSet;
+        // Serde cannot check list lengths or universes, so crafted files
+        // reach the loaders with a well-formed graph and malformed sets.
+        let inst = ocd_core::scenario::single_file(classic::cycle(5, 2, true), 4, 0);
+        let graph = serde_json::to_string(inst.graph()).unwrap();
+        let write = |name: &str, have: &[TokenSet], want: &[TokenSet]| {
+            let (have, want) = (serde_json::to_string(have), serde_json::to_string(want));
+            let json = format!(
+                "{{\"graph\":{graph},\"num_tokens\":4,\"have\":{},\"want\":{}}}",
+                have.unwrap(),
+                want.unwrap()
+            );
+            std::fs::write(tmp(name), json).unwrap();
+            tmp(name)
+        };
+        let (have, want) = (inst.have_all(), inst.want_all());
+        let mut wide = have.to_vec();
+        wide[0] = TokenSet::new(5);
+        // A record whose first capacity-trace row is empty.
+        let mut model = ocd_heuristics::dynamics::StaticNetwork;
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut medium = Dynamic::new(&mut model);
+        let mut strategy = StrategyKind::Local.build();
+        let out = simulate_with(
+            &inst,
+            strategy.as_mut(),
+            &mut medium,
+            &SimConfig::default(),
+            &mut rng,
+        );
+        let mut rec = out.to_record(&inst, "local", "static", 1);
+        rec.capacity_trace[0].clear();
+        let record = tmp("hostile_record.json");
+        rec.write_json(record.as_ref()).unwrap();
+        let cases = [
+            (
+                write("hostile_have.json", &have[1..], want),
+                "have list holds 4 sets",
+            ),
+            (
+                write("hostile_want.json", have, &want[1..]),
+                "want list holds 4 sets",
+            ),
+            (
+                write("hostile_universe.json", &wide, want),
+                "have set of vertex 0 is over 5",
+            ),
+            (record.clone(), "capacity trace row 0 has 0 entries"),
+        ];
+        for (path, message) in &cases {
+            let commands: [&[&str]; 2] = if *path == record {
+                [
+                    &["certify", "--record", path],
+                    &["trace", "analyze", "--record", path],
+                ]
+            } else {
+                [
+                    &["run", "--instance", path, "--strategy", "local"],
+                    &["bounds", "--instance", path],
+                ]
+            };
+            for args in commands {
+                let err = run(args).unwrap_err();
+                assert!(err.contains(message), "{args:?}: {err}");
+                let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+                assert_eq!(crate::run_cli(args), 1, "exit code");
+            }
+        }
     }
 }

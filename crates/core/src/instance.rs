@@ -78,6 +78,28 @@ pub enum InstanceError {
         /// Number of vertices in the graph.
         node_count: usize,
     },
+    /// A have or want list does not hold one set per vertex (see
+    /// [`Instance::check_shape`]).
+    SetCount {
+        /// `"have"` or `"want"`.
+        list: &'static str,
+        /// Sets in the list.
+        sets: usize,
+        /// Number of vertices in the graph.
+        node_count: usize,
+    },
+    /// A have or want set is over a different token universe than the
+    /// instance (see [`Instance::check_shape`]).
+    Universe {
+        /// `"have"` or `"want"`.
+        list: &'static str,
+        /// The vertex whose set is malformed.
+        vertex: usize,
+        /// The set's universe.
+        universe: usize,
+        /// The instance's token count.
+        num_tokens: usize,
+    },
 }
 
 impl fmt::Display for InstanceError {
@@ -101,6 +123,23 @@ impl fmt::Display for InstanceError {
                     "node budgets cover {budgets} vertices but the graph has {node_count}"
                 )
             }
+            InstanceError::SetCount {
+                list,
+                sets,
+                node_count,
+            } => write!(
+                f,
+                "{list} list holds {sets} sets but the graph has {node_count} vertices"
+            ),
+            InstanceError::Universe {
+                list,
+                vertex,
+                universe,
+                num_tokens,
+            } => write!(
+                f,
+                "{list} set of vertex {vertex} is over {universe} tokens but the instance has {num_tokens}"
+            ),
         }
     }
 }
@@ -241,6 +280,37 @@ impl Instance {
             node_budgets: None,
             out_of_bounds: Vec::new(),
         }
+    }
+
+    /// Checks the shape that deserialization cannot: one have and one
+    /// want set per vertex, each over the instance's token universe.
+    /// [`InstanceBuilder::build`] guarantees it; an instance read from
+    /// JSON must pass this before anything indexes it.
+    ///
+    /// # Errors
+    ///
+    /// [`InstanceError::SetCount`] or [`InstanceError::Universe`] for the
+    /// first malformed list.
+    pub fn check_shape(&self) -> Result<(), InstanceError> {
+        let node_count = self.graph.node_count();
+        for (list, sets) in [("have", &self.have), ("want", &self.want)] {
+            if sets.len() != node_count {
+                return Err(InstanceError::SetCount {
+                    list,
+                    sets: sets.len(),
+                    node_count,
+                });
+            }
+            if let Some(vertex) = sets.iter().position(|s| s.universe() != self.num_tokens) {
+                return Err(InstanceError::Universe {
+                    list,
+                    vertex,
+                    universe: sets[vertex].universe(),
+                    num_tokens: self.num_tokens,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The underlying graph.

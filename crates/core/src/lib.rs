@@ -32,15 +32,16 @@
 //!   rank-tracked [`CodedBasis`] (the coded analogue of [`TokenSet`]),
 //!   next to the idealized k-of-n threshold model in [`coding`].
 //! - [`metrics`]: the suite-wide observability layer — a dependency-free
-//!   registry of counters/gauges/log2-histograms behind a [`Recorder`]
-//!   trait whose no-op impl monomorphizes away.
+//!   registry of counters/gauges/log2-histograms that every execution
+//!   layer fills after its run, from what the run returns.
 //! - [`span`]: the flight-recorder layer — named, nested, timed spans
 //!   with attached counters and an instantaneous event stream behind a
-//!   zero-cost [`SpanRecorder`], exported as Chrome/Perfetto
-//!   timelines.
+//!   zero-cost [`SpanRecorder`], the one probe a hot loop takes,
+//!   exported as Chrome/Perfetto timelines.
 //! - [`provenance`]: the causal token-provenance layer — who delivered
 //!   each token to each vertex, with critical-path/bottleneck analysis
-//!   and Chrome/Perfetto export, behind a zero-cost [`ProvenanceHook`].
+//!   and Chrome/Perfetto export, derived from a schedule by replay, or
+//!   recorded live where no schedule determines it.
 //! - [`record`]: the self-certifying JSON run artifact ([`RunRecord`])
 //!   shared by the engine, the CLI, and the bench pipeline.
 //! - [`scenario`]: generators for every experimental scenario in §5.
@@ -90,8 +91,8 @@ pub mod validate;
 
 pub use budgets::NodeBudgets;
 pub use instance::{Instance, InstanceBuilder, InstanceError, InstanceStats};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
-pub use provenance::{NoopProvenance, ProvenanceHook, ProvenanceRecord, ProvenanceTrace};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use provenance::{ProvenanceRecord, ProvenanceTrace};
 pub use record::{RecordError, RunRecord, StepTrace};
 pub use rlnc::{CodedBasis, CodedPacket, RlncInstance};
 pub use schedule::{Move, Schedule, ScheduleRecorder, Timestep};

@@ -20,13 +20,17 @@
 //!   vertex, one slice per transfer, flow arrows along token lineage)
 //!   and to deterministic native JSON/CSV.
 //!
-//! # Zero-cost hook
+//! # Recording
 //!
-//! Instrumented code records through the [`ProvenanceHook`] trait,
-//! mirroring the metrics layer's [`Recorder`](crate::metrics::Recorder)
-//! pattern: [`NoopProvenance`] is a constant-`false`, empty-body
-//! implementation that monomorphizes away (the `engine_step_loop`
-//! microbench guards this), while [`ProvenanceTrace`] is the real store.
+//! A trace is derived, not hooked, wherever the run's schedule
+//! determines it: [`ProvenanceTrace::from_schedule`] replays a schedule
+//! first-write-wins, which is how the lockstep engine, `RunRecord`
+//! certification and the analysis tools all obtain it. Only runs whose
+//! schedule cannot rebuild the forest record live, through
+//! [`ProvenanceTrace::record_delivery`] on an
+//! `Option<ProvenanceTrace>`: the swarm runtime (a delivery's departure
+//! tick survives loss and retries) and the coded loop (slot-indexed
+//! acquisitions).
 //!
 //! # Determinism
 //!
@@ -82,52 +86,7 @@ pub struct Acquisition {
     pub step: u64,
 }
 
-/// The recording interface provenance-instrumented code is generic
-/// over, mirroring the metrics layer's `Recorder` pattern.
-///
-/// [`NoopProvenance`] implements both methods as constant/empty inline
-/// bodies, so monomorphizing over it erases the instrumentation
-/// entirely; [`ProvenanceTrace`] is the real store.
-pub trait ProvenanceHook {
-    /// Whether recordings are kept. Constant `false` for
-    /// [`NoopProvenance`], and constant-foldable after monomorphization.
-    fn enabled(&self) -> bool;
-
-    /// Records that `delta` (tokens the receiver did **not** already
-    /// hold) was delivered to `dst` over `edge` from `src` during
-    /// timestep `step`. First write per `(dst, token)` wins.
-    fn record_delivery(
-        &mut self,
-        step: u64,
-        edge: EdgeId,
-        src: NodeId,
-        dst: NodeId,
-        delta: &TokenSet,
-    );
-}
-
-/// The do-nothing hook: disabled provenance at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProvenance;
-
-impl ProvenanceHook for NoopProvenance {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn record_delivery(
-        &mut self,
-        _step: u64,
-        _edge: EdgeId,
-        _src: NodeId,
-        _dst: NodeId,
-        _delta: &TokenSet,
-    ) {
-    }
-}
-
-/// The live provenance store: one optional [`Acquisition`] per
+/// The provenance store: one optional [`Acquisition`] per
 /// `(vertex, token)` slot, densely indexed by `vertex * tokens + token`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvenanceTrace {
@@ -136,14 +95,21 @@ pub struct ProvenanceTrace {
     parents: Vec<Option<Acquisition>>,
 }
 
-impl ProvenanceHook for ProvenanceTrace {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
+impl ProvenanceTrace {
+    /// Creates an empty trace for `vertices × tokens` slots.
+    #[must_use]
+    pub fn new(vertices: usize, tokens: usize) -> Self {
+        ProvenanceTrace {
+            vertices,
+            tokens,
+            parents: vec![None; vertices * tokens],
+        }
     }
 
-    #[inline]
-    fn record_delivery(
+    /// Records that `delta` (tokens the receiver did **not** already
+    /// hold) was delivered to `dst` over `edge` from `src` during
+    /// timestep `step`. First write per `(dst, token)` wins.
+    pub fn record_delivery(
         &mut self,
         step: u64,
         edge: EdgeId,
@@ -157,18 +123,6 @@ impl ProvenanceHook for ProvenanceTrace {
             if slot.is_none() {
                 *slot = Some(Acquisition { edge, src, step });
             }
-        }
-    }
-}
-
-impl ProvenanceTrace {
-    /// Creates an empty trace for `vertices × tokens` slots.
-    #[must_use]
-    pub fn new(vertices: usize, tokens: usize) -> Self {
-        ProvenanceTrace {
-            vertices,
-            tokens,
-            parents: vec![None; vertices * tokens],
         }
     }
 
@@ -234,8 +188,8 @@ impl ProvenanceTrace {
     ///
     /// The replay mirrors the engine's apply semantics exactly
     /// (deliveries applied in ascending arc order within a step,
-    /// possession updated immediately), so a trace recorded live by the
-    /// engine equals the trace derived here from the same schedule.
+    /// possession updated immediately); it is how the engine itself
+    /// produces a run's trace.
     #[must_use]
     pub fn from_schedule(instance: &Instance, schedule: &Schedule) -> Self {
         let g = instance.graph();

@@ -16,7 +16,7 @@
 use crate::metrics::MetricsSnapshot;
 use crate::provenance::{ProvenanceRecord, ProvenanceTrace};
 use crate::validate::{self, ScheduleError};
-use crate::{Instance, Schedule};
+use crate::{Instance, InstanceError, Schedule};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -115,6 +115,17 @@ pub enum RecordError {
         /// Steps in the schedule.
         schedule_steps: usize,
     },
+    /// A capacity-trace row has fewer entries than the graph has arcs.
+    TraceRowTooNarrow {
+        /// The row's step.
+        step: usize,
+        /// Entries in the row.
+        width: usize,
+        /// Arcs in the graph.
+        arcs: usize,
+    },
+    /// The embedded instance is malformed.
+    Instance(InstanceError),
     /// The embedded schedule is invalid for the embedded instance.
     Schedule(ScheduleError),
     /// A headline metric disagrees with the replayed schedule.
@@ -147,6 +158,11 @@ impl fmt::Display for RecordError {
                 f,
                 "capacity trace covers {trace_steps} steps but the schedule has {schedule_steps}"
             ),
+            RecordError::TraceRowTooNarrow { step, width, arcs } => write!(
+                f,
+                "capacity trace row {step} has {width} entries but the graph has {arcs} arcs"
+            ),
+            RecordError::Instance(e) => write!(f, "embedded instance is malformed: {e}"),
             RecordError::Schedule(e) => write!(f, "embedded schedule is invalid: {e}"),
             RecordError::Mismatch {
                 field,
@@ -165,11 +181,18 @@ impl fmt::Display for RecordError {
 impl Error for RecordError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
+            RecordError::Instance(e) => Some(e),
             RecordError::Schedule(e) => Some(e),
             RecordError::Json(e) => Some(e),
             RecordError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<InstanceError> for RecordError {
+    fn from(e: InstanceError) -> Self {
+        RecordError::Instance(e)
     }
 }
 
@@ -212,13 +235,24 @@ impl RunRecord {
     /// # Errors
     ///
     /// [`RecordError::Version`] for an unknown schema version,
-    /// [`RecordError::TraceTooShort`] / [`RecordError::Schedule`] when
-    /// the schedule does not replay, and [`RecordError::Mismatch`] when
-    /// a claimed metric disagrees with the replay.
+    /// [`RecordError::Instance`] for a malformed instance,
+    /// [`RecordError::TraceTooShort`] / [`RecordError::TraceRowTooNarrow`]
+    /// / [`RecordError::Schedule`] when the schedule does not replay,
+    /// and [`RecordError::Mismatch`] when a claimed metric disagrees
+    /// with the replay.
     pub fn certify(&self) -> Result<validate::Replay, RecordError> {
         if !(RUN_RECORD_MIN_VERSION..=RUN_RECORD_VERSION).contains(&self.version) {
             return Err(RecordError::Version {
                 found: self.version,
+            });
+        }
+        self.instance.check_shape()?;
+        let arcs = self.instance.graph().edge_count();
+        if let Some(step) = self.capacity_trace.iter().position(|row| row.len() < arcs) {
+            return Err(RecordError::TraceRowTooNarrow {
+                step,
+                width: self.capacity_trace[step].len(),
+                arcs,
             });
         }
         let replay = if self.capacity_trace.is_empty() {
@@ -277,9 +311,12 @@ impl RunRecord {
     ///
     /// # Errors
     ///
-    /// [`RecordError::Json`] on malformed input.
+    /// [`RecordError::Json`] on malformed input and
+    /// [`RecordError::Instance`] for a malformed embedded instance.
     pub fn from_json(json: &str) -> Result<Self, RecordError> {
-        Ok(serde_json::from_str(json)?)
+        let record: RunRecord = serde_json::from_str(json)?;
+        record.instance.check_shape()?;
+        Ok(record)
     }
 
     /// Writes the record to `path` as JSON.
@@ -429,8 +466,8 @@ mod tests {
         let mut record = sample_record();
         record.version = 2;
         let mut reg = crate::metrics::MetricsRegistry::new();
-        let c = crate::metrics::Recorder::counter(&mut reg, "engine.moves");
-        crate::metrics::Recorder::add(&mut reg, c, 2);
+        let c = reg.counter("engine.moves");
+        reg.add(c, 2);
         record.metrics = Some(reg.snapshot());
         let v2_json = record
             .to_json()

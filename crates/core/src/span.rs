@@ -5,10 +5,10 @@
 //!
 //! # Design
 //!
-//! Instrumented code records through the [`SpanRecorder`] trait, which
-//! has two implementations — the same zero-cost pattern as
-//! [`Recorder`](crate::metrics::Recorder) and
-//! [`ProvenanceHook`](crate::provenance::ProvenanceHook):
+//! Instrumented code records through the [`SpanRecorder`] trait — the
+//! one probe a hot loop is generic over; metrics and provenance are
+//! derived from the run after it ends ([`crate::metrics`],
+//! [`crate::provenance`]). It has two implementations:
 //!
 //! - [`NoopSpans`]: every method is an empty `#[inline(always)]` body
 //!   and [`SpanRecorder::enabled`] is a constant `false`. Code
@@ -30,9 +30,9 @@
 //! driven by a deterministic system serializes to **byte-identical**
 //! artifacts across equal-seed runs — the same contract as
 //! [`MetricsSnapshot`](crate::metrics::MetricsSnapshot). Wall-clock
-//! durations are opt-in at the construction site (e.g.
-//! `SimConfig::metric_timings` in the engine) precisely because they
-//! break that guarantee.
+//! durations are opt-in at the construction site
+//! ([`FlightRecorder::wall`]) precisely because they break that
+//! guarantee.
 //!
 //! # Examples
 //!

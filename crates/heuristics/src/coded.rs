@@ -5,13 +5,13 @@
 //! exactly: a [`CodedMedium`] abstracts per-step capacities and
 //! per-packet delivery (the coded counterpart of
 //! [`Medium`](crate::Medium), whose admission contract is token-set
-//! shaped and therefore cannot carry coefficient-vector packets), a
-//! [`Recorder`](ocd_core::Recorder) collects metrics, and a
-//! [`ProvenanceHook`](ocd_core::ProvenanceHook) captures lineage — all
-//! three monomorphize to nothing when disabled.
+//! shaped and therefore cannot carry coefficient-vector packets), and
+//! the metrics snapshot is derived after the run from the report's
+//! counters. Provenance alone is recorded inside the loop, into an
+//! `Option<ProvenanceTrace>`, because no schedule can rebuild it.
 //!
 //! The per-vertex state is a [`CodedBasis`] instead of a
-//! [`TokenSet`](ocd_core::TokenSet): senders emit random combinations
+//! [`TokenSet`]: senders emit random combinations
 //! of whatever they can already reproduce, receivers absorb a packet
 //! iff it is innovative, and *duplicate delivery* becomes *redundant
 //! delivery* — a packet inside the receiver's span. With the bases
@@ -26,8 +26,8 @@
 //! [`ProvenanceTrace::contributing_arcs`] reads off the *set* of arcs
 //! whose packets entered each decoding basis.
 
-use ocd_core::metrics::{CounterId, MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
-use ocd_core::provenance::{NoopProvenance, ProvenanceHook, ProvenanceTrace};
+use ocd_core::metrics::{MetricsRegistry, MetricsSnapshot};
+use ocd_core::provenance::ProvenanceTrace;
 use ocd_core::rlnc::{CodedBasis, RlncInstance};
 use ocd_core::{Token, TokenSet};
 use ocd_graph::{DiGraph, EdgeId};
@@ -335,10 +335,10 @@ pub fn simulate_coded(
     simulate_coded_with(instance, strategy, &mut IdealCoded, config, rng)
 }
 
-/// Runs a coded strategy over an explicit [`CodedMedium`], dispatching
-/// to the monomorphized loop for each instrumentation combination —
-/// the same zero-cost pattern as the uncoded
-/// [`simulate_with`](crate::simulate_with).
+/// Runs a coded strategy over an explicit [`CodedMedium`]. The
+/// [`CodedSimConfig::metrics`] snapshot holds the report's five
+/// counters; [`CodedSimConfig::provenance`] records the slot-indexed
+/// trace as the loop runs.
 ///
 /// # Panics
 ///
@@ -351,92 +351,13 @@ pub fn simulate_coded_with<M: CodedMedium>(
     config: &CodedSimConfig,
     rng: &mut dyn RngCore,
 ) -> CodedOutcome {
-    let new_trace = || ProvenanceTrace::new(instance.graph().node_count(), instance.generation());
-    match (config.metrics, config.provenance) {
-        (true, true) => {
-            let mut registry = MetricsRegistry::new();
-            let mut prov = new_trace();
-            let mut outcome = coded_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut prov,
-            );
-            outcome.metrics = Some(registry.snapshot());
-            outcome.provenance = Some(prov);
-            outcome
-        }
-        (true, false) => {
-            let mut registry = MetricsRegistry::new();
-            let mut outcome = coded_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut NoopProvenance,
-            );
-            outcome.metrics = Some(registry.snapshot());
-            outcome
-        }
-        (false, true) => {
-            let mut prov = new_trace();
-            let mut outcome = coded_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut NoopRecorder,
-                &mut prov,
-            );
-            outcome.provenance = Some(prov);
-            outcome
-        }
-        (false, false) => coded_loop(
-            instance,
-            strategy,
-            medium,
-            config,
-            rng,
-            &mut NoopRecorder,
-            &mut NoopProvenance,
-        ),
-    }
-}
-
-struct Counters {
-    sent: CounterId,
-    innovative: CounterId,
-    redundant: CounterId,
-    lost: CounterId,
-    bytes: CounterId,
-}
-
-fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
-    instance: &RlncInstance,
-    strategy: &mut dyn CodedStrategy,
-    medium: &mut M,
-    config: &CodedSimConfig,
-    rng: &mut dyn RngCore,
-    rec: &mut R,
-    prov: &mut P,
-) -> CodedOutcome {
     let g = instance.graph();
     let k = instance.generation();
     medium.reset(g);
     strategy.reset(instance);
-    let counters = Counters {
-        sent: rec.counter("coded.packets_sent"),
-        innovative: rec.counter("coded.innovative_deliveries"),
-        redundant: rec.counter("coded.redundant_deliveries"),
-        lost: rec.counter("coded.packets_lost"),
-        bytes: rec.counter("coded.bytes_sent"),
-    };
+    let mut provenance = config
+        .provenance
+        .then(|| ProvenanceTrace::new(g.node_count(), k));
     let static_caps: Vec<u32> = g.edge_ids().map(|e| g.capacity(e)).collect();
     let receiver: Vec<bool> = g.nodes().map(|v| instance.is_receiver(v)).collect();
     let mut bases = instance.initial_bases();
@@ -493,11 +414,8 @@ fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
                 let packet = snapshot[arc.src.index()].random_packet(rng);
                 report.packets_sent += 1;
                 report.bytes_sent += packet.wire_bytes();
-                rec.add(counters.sent, 1);
-                rec.add(counters.bytes, packet.wire_bytes());
                 if !medium.deliver(e, rng) {
                     report.packets_lost += 1;
-                    rec.add(counters.lost, 1);
                     continue;
                 }
                 // Innovation is judged against the receiver's *live*
@@ -507,17 +425,15 @@ fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
                 let slot = bases[dst].rank();
                 if bases[dst].absorb(packet) {
                     report.innovative_deliveries += 1;
-                    rec.add(counters.innovative, 1);
-                    if prov.enabled() {
+                    if let Some(trace) = &mut provenance {
                         let delta = TokenSet::from_tokens(k, [Token::new(slot)]);
-                        prov.record_delivery(step as u64, e, arc.src, arc.dst, &delta);
+                        trace.record_delivery(step as u64, e, arc.src, arc.dst, &delta);
                     }
                     if bases[dst].is_complete() && completion[dst].is_none() {
                         completion[dst] = Some(step + 1);
                     }
                 } else {
                     report.redundant_deliveries += 1;
-                    rec.add(counters.redundant, 1);
                 }
             }
         }
@@ -529,10 +445,26 @@ fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
             .all(|v| !receiver[v.index()] || instance.decodes_correctly(&bases[v.index()]));
     report.completion_steps = completion;
     CodedOutcome {
+        metrics: config.metrics.then(|| coded_metrics(&report)),
         report,
-        metrics: None,
-        provenance: None,
+        provenance,
     }
+}
+
+/// The `coded.*` metrics of a finished run: the report's counters.
+fn coded_metrics(report: &CodedSimReport) -> MetricsSnapshot {
+    let mut reg = MetricsRegistry::new();
+    for (name, value) in [
+        ("coded.packets_sent", report.packets_sent),
+        ("coded.innovative_deliveries", report.innovative_deliveries),
+        ("coded.redundant_deliveries", report.redundant_deliveries),
+        ("coded.packets_lost", report.packets_lost),
+        ("coded.bytes_sent", report.bytes_sent),
+    ] {
+        let id = reg.counter(name);
+        reg.add(id, value);
+    }
+    reg.snapshot()
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //! nodes going from zero to non-zero and back."
 //!
 //! A [`NetworkDynamics`] produces the *effective* per-arc capacities of
-//! each timestep (0 = link down). [`simulate_dynamic`] runs a strategy
-//! under a dynamics model; the returned capacity trace lets
+//! each timestep (0 = link down). `simulate_with(.., &mut
+//! Dynamic::new(model), ..)` runs a strategy under a dynamics model (see
+//! [`Dynamic`](crate::Dynamic)); the outcome's capacity trace lets
 //! [`ocd_core::validate::replay_with_capacities`] re-check the schedule
 //! independently. Provided models:
 //!
@@ -26,10 +27,7 @@
 //!   the arcs currently most useful to the protocol (the
 //!   denial-of-service flavor).
 
-use crate::engine::{simulate_with, SimConfig, SimReport};
-use crate::medium::Dynamic;
-use crate::Strategy;
-use ocd_core::{Instance, TokenSet};
+use ocd_core::TokenSet;
 use ocd_graph::{DiGraph, EdgeId};
 use rand::{Rng, RngCore};
 
@@ -45,8 +43,8 @@ pub trait NetworkDynamics {
     /// into `out`, indexed by [`EdgeId::index`]. 0 disables the arc for
     /// this step. Called exactly once per step, in step order, always
     /// with `out.len() == graph.edge_count()` — the engine's
-    /// [`Dynamic`] medium owns the buffer and reuses it across steps,
-    /// so a model never allocates per step.
+    /// [`Dynamic`](crate::Dynamic) medium owns the buffer and reuses it
+    /// across steps, so a model never allocates per step.
     fn capacities_into(
         &mut self,
         graph: &DiGraph,
@@ -67,34 +65,6 @@ pub trait NetworkDynamics {
 impl std::fmt::Debug for dyn NetworkDynamics + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "NetworkDynamics({})", self.name())
-    }
-}
-
-/// Result of a dynamic run: the usual report plus the capacity trace
-/// needed to re-validate the schedule.
-#[derive(Debug, Clone)]
-pub struct DynamicReport {
-    /// The simulation report (schedule, metrics, trace).
-    pub report: SimReport,
-    /// `capacity_trace[i][e]` = effective capacity of arc `e` at step `i`.
-    pub capacity_trace: Vec<Vec<u32>>,
-}
-
-/// Runs `strategy` under `dynamics`. Unlike [`crate::simulate`], an
-/// idle step is *not* treated as a stall — the network may simply be
-/// down — so non-completion is only declared at the step cap.
-pub fn simulate_dynamic(
-    instance: &Instance,
-    strategy: &mut dyn Strategy,
-    dynamics: &mut dyn NetworkDynamics,
-    config: &SimConfig,
-    rng: &mut dyn RngCore,
-) -> DynamicReport {
-    let mut medium = Dynamic::new(dynamics);
-    let outcome = simulate_with(instance, strategy, &mut medium, config, rng);
-    DynamicReport {
-        report: outcome.report,
-        capacity_trace: outcome.capacity_trace,
     }
 }
 
@@ -429,9 +399,10 @@ impl NetworkDynamics for AdversarialCuts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StrategyKind, WorldView};
+    use crate::{simulate_with, Dynamic, SimConfig, SimOutcome, StrategyKind, WorldView};
     use ocd_core::scenario::single_file;
     use ocd_core::validate;
+    use ocd_core::Instance;
     use ocd_graph::generate::classic;
     use rand::prelude::*;
 
@@ -439,7 +410,7 @@ mod tests {
         dynamics: &mut dyn NetworkDynamics,
         kind: StrategyKind,
         max_steps: usize,
-    ) -> (Instance, DynamicReport) {
+    ) -> (Instance, SimOutcome) {
         let instance = single_file(classic::cycle(8, 3, true), 8, 0);
         let mut strategy = kind.build();
         let config = SimConfig {
@@ -447,8 +418,9 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let report = simulate_dynamic(&instance, strategy.as_mut(), dynamics, &config, &mut rng);
-        (instance, report)
+        let mut medium = Dynamic::new(dynamics);
+        let outcome = simulate_with(&instance, strategy.as_mut(), &mut medium, &config, &mut rng);
+        (instance, outcome)
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use coded::{
     simulate_coded, simulate_coded_with, CodedLocal, CodedMedium, CodedOutcome, CodedRandom,
     CodedSimConfig, CodedSimReport, CodedStrategy, CodedView, IdealCoded, LossyCoded,
 };
-pub use dynamics::{simulate_dynamic, DynamicReport, NetworkDynamics};
+pub use dynamics::NetworkDynamics;
 pub use engine::{
     simulate, simulate_with, simulate_with_spans, SimConfig, SimOutcome, SimReport, StepRecord,
 };
@@ -81,5 +81,4 @@ pub use random::RandomUseful;
 pub use round_robin::RoundRobin;
 pub use shard::{Sharded, ShardedLocal, ShardedRandom, ShardedTreeStripe, VertexStrategy};
 pub use tree_stripe::TreeStripe;
-pub use underlay::{simulate_underlay, UnderlayReport};
 pub use view::{KnowledgeTier, Strategy, WorldView};

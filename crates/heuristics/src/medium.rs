@@ -95,7 +95,9 @@ pub trait Medium {
     }
 
     /// Whether the engine should record per-step rejected-move counts
-    /// (media with admission control).
+    /// (media with admission control). Any medium whose
+    /// [`admit`](Self::admit) can reject must return `true`: the
+    /// `engine.rejected_moves` metric is the sum of these counts.
     fn records_rejections(&self) -> bool {
         false
     }

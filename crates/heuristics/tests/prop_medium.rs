@@ -12,7 +12,7 @@
 use ocd_core::scenario::single_file;
 use ocd_graph::underlay::Underlay;
 use ocd_graph::NodeId;
-use ocd_heuristics::{simulate, simulate_underlay, SimConfig, StrategyKind};
+use ocd_heuristics::{simulate, simulate_with, PhysicalUnderlay, SimConfig, StrategyKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,14 +51,8 @@ proptest! {
         let constrained = {
             let mut strategy = kind.build();
             let mut run_rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
-            simulate_underlay(
-                &instance,
-                strategy.as_mut(),
-                &topology,
-                &mapping,
-                &config,
-                &mut run_rng,
-            )
+            let mut medium = PhysicalUnderlay::new(&topology, &mapping);
+            simulate_with(&instance, strategy.as_mut(), &mut medium, &config, &mut run_rng)
         };
 
         prop_assert_eq!(
@@ -68,7 +62,7 @@ proptest! {
             kind.name(),
             seed
         );
-        prop_assert_eq!(constrained.total_rejected(), 0);
+        prop_assert_eq!(constrained.rejected_per_step.iter().sum::<u64>(), 0);
         prop_assert_eq!(constrained.report.success, ideal.success);
         prop_assert_eq!(
             constrained.report.completion_steps.clone(),

@@ -119,7 +119,7 @@ impl CodedNetReport {
     #[must_use]
     pub fn metrics_snapshot(&self) -> ocd_core::MetricsSnapshot {
         use crate::msg::MsgKind;
-        use ocd_core::{MetricsRegistry, Recorder};
+        use ocd_core::MetricsRegistry;
         let mut reg = MetricsRegistry::new();
         for (name, value) in [
             ("coded.ticks", self.ticks),

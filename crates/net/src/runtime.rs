@@ -48,7 +48,7 @@ use crate::trace::{
     CompletionHistogram, EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters, NO_FIELD,
 };
 use ocd_core::knowledge::AggregateKnowledge;
-use ocd_core::provenance::{ProvenanceHook, ProvenanceTrace};
+use ocd_core::provenance::ProvenanceTrace;
 use ocd_core::span::{NoopSpans, SpanRecorder};
 use ocd_core::{Instance, NodeBudgets, Schedule, ScheduleRecorder, Token, TokenSet};
 use ocd_graph::{EdgeId, NodeId};
@@ -144,7 +144,7 @@ impl NetReport {
     /// equal-seed runs snapshot byte-identically.
     #[must_use]
     pub fn metrics_snapshot(&self) -> ocd_core::MetricsSnapshot {
-        use ocd_core::{MetricsRegistry, Recorder};
+        use ocd_core::MetricsRegistry;
         let mut reg = MetricsRegistry::new();
         for (name, value) in [
             ("net.ticks", self.ticks),

@@ -9,7 +9,9 @@ use ocd::graph::generate::{classic, paper_random, transit_stub, TransitStubConfi
 use ocd::graph::underlay::Underlay;
 use ocd::graph::NodeId;
 use ocd::heuristics::dynamics::{Churn, CrossTraffic, LinkOutages};
-use ocd::heuristics::{simulate, simulate_dynamic, simulate_underlay, SimConfig, StrategyKind};
+use ocd::heuristics::{
+    simulate, simulate_with, Dynamic, PhysicalUnderlay, SimConfig, StrategyKind,
+};
 use ocd::solver::ip::min_bandwidth_within_factor;
 use rand::prelude::*;
 
@@ -34,10 +36,11 @@ fn dynamics_runs_validate_against_their_traces() {
                 max_steps: 5_000,
                 ..Default::default()
             };
-            let outcome = simulate_dynamic(
+            let mut medium = Dynamic::new(model.as_mut());
+            let outcome = simulate_with(
                 &instance,
                 strategy.as_mut(),
-                model.as_mut(),
+                &mut medium,
                 &config,
                 &mut run_rng,
             );
@@ -73,11 +76,11 @@ fn underlay_inflation_end_to_end() {
     let pure = simulate(&instance, s.as_mut(), &SimConfig::default(), &mut rng1);
     let mut s2 = StrategyKind::Global.build();
     let mut rng2 = StdRng::seed_from_u64(5);
-    let constrained = simulate_underlay(
+    let mut medium = PhysicalUnderlay::new(&physical, &mapping);
+    let constrained = simulate_with(
         &instance,
         s2.as_mut(),
-        &physical,
-        &mapping,
+        &mut medium,
         &SimConfig::default(),
         &mut rng2,
     );
