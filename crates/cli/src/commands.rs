@@ -35,6 +35,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             cap,
             out,
         } => {
+            if *nodes == 0 && matches!(topology.as_str(), "tree" | "star") {
+                return Err(format!("topology `{topology}` needs --nodes >= 1"));
+            }
             let mut rng = StdRng::seed_from_u64(*seed);
             let (lo, hi) = *cap;
             let graph = match topology.as_str() {
@@ -81,6 +84,20 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 "figure-one" => ocd_core::scenario::figure_one(),
                 name => {
                     let g = load_graph(graph)?;
+                    let vertices = g.node_count();
+                    let uses_source =
+                        matches!(name, "single-file" | "receiver-density" | "multi-file");
+                    if uses_source && *source >= vertices {
+                        return Err(format!(
+                            "--source {source} out of range (graph has {vertices} vertices)"
+                        ));
+                    }
+                    if *files == 0 && matches!(name, "multi-file" | "multi-sender") {
+                        return Err("--files must be at least 1".to_string());
+                    }
+                    if name == "receiver-density" && !(0.0..=1.0).contains(threshold) {
+                        return Err(format!("--threshold must be in [0, 1], got {threshold}"));
+                    }
                     match name {
                         "single-file" => ocd_core::scenario::single_file(g, *tokens, *source),
                         "receiver-density" => ocd_core::scenario::receiver_density(
@@ -360,9 +377,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         } => {
             let inst = load_instance(instance)?;
             let policy: NetPolicy = policy.parse()?;
-            if *latency == 0 {
-                return Err("--latency must be at least 1 tick".to_string());
-            }
             let config = NetConfig {
                 policy,
                 latency: *latency,
@@ -373,6 +387,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 max_ticks: *max_ticks,
                 ..NetConfig::default()
             };
+            config.validate()?;
             let faults = match crash {
                 None => FaultPlan::none(),
                 Some((v, down, up)) => {
@@ -472,6 +487,15 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     g.node_count()
                 ));
             }
+            if *tokens == 0 {
+                return Err("--tokens must be at least 1".to_string());
+            }
+            if !(0.0..1.0).contains(loss) {
+                return Err(format!("loss must be in [0, 1), got {loss}"));
+            }
+            if redundancy.is_nan() || *redundancy < 1.0 {
+                return Err(format!("redundancy must be >= 1, got {redundancy}"));
+            }
             let inst = RlncInstance::single_source(g, *tokens, *payload, *source);
             let mut strat: Box<dyn CodedStrategy> = match strategy.as_str() {
                 "random" | "rnd" => Box::new(CodedRandom::new(*redundancy)),
@@ -482,12 +506,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     ))
                 }
             };
-            if !(0.0..1.0).contains(loss) {
-                return Err(format!("loss must be in [0, 1), got {loss}"));
-            }
-            if *redundancy < 1.0 {
-                return Err(format!("redundancy must be >= 1, got {redundancy}"));
-            }
             let config = CodedSimConfig {
                 max_steps: *max_steps,
                 // Like `ocd run --metrics`: the coded recorder only
@@ -801,15 +819,22 @@ fn parse_dynamics(spec: &str) -> Result<Box<dyn ocd_heuristics::NetworkDynamics>
         AdversarialCuts, Churn, CrossTraffic, LinkOutages, StaticNetwork,
     };
     let parts: Vec<&str> = spec.split(':').collect();
-    let num = |raw: &str| -> Result<f64, String> {
-        raw.parse()
-            .map_err(|_| format!("invalid number `{raw}` in dynamics `{spec}`"))
+    // Every number in a dynamics spec is a probability or a fraction.
+    let unit = |raw: &str| -> Result<f64, String> {
+        let x: f64 = raw
+            .parse()
+            .map_err(|_| format!("invalid number `{raw}` in dynamics `{spec}`"))?;
+        if (0.0..=1.0).contains(&x) {
+            Ok(x)
+        } else {
+            Err(format!("`{raw}` in dynamics `{spec}` must be in [0, 1]"))
+        }
     };
     match parts.as_slice() {
         ["static"] => Ok(Box::new(StaticNetwork)),
-        ["cross", f] => Ok(Box::new(CrossTraffic::new(num(f)?))),
-        ["outages", p, q] => Ok(Box::new(LinkOutages::new(num(p)?, num(q)?))),
-        ["churn", p, q] => Ok(Box::new(Churn::new(num(p)?, num(q)?, vec![0]))),
+        ["cross", f] => Ok(Box::new(CrossTraffic::new(unit(f)?))),
+        ["outages", p, q] => Ok(Box::new(LinkOutages::new(unit(p)?, unit(q)?))),
+        ["churn", p, q] => Ok(Box::new(Churn::new(unit(p)?, unit(q)?, vec![0]))),
         ["adversary", b] => Ok(Box::new(AdversarialCuts::new(
             b.parse().map_err(|_| format!("invalid budget `{b}`"))?,
         ))),
@@ -1810,7 +1835,7 @@ mod tests {
             .contains("out of range"));
         assert!(run(&["net-run", "--instance", &inst, "--latency", "0"])
             .unwrap_err()
-            .contains("at least 1"));
+            .contains("latency must be >= 1"));
     }
 
     #[test]
@@ -1908,6 +1933,50 @@ mod tests {
                 let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
                 assert_eq!(crate::run_cli(args), 1, "exit code");
             }
+        }
+    }
+
+    #[test]
+    fn hostile_flag_values_are_typed_errors() {
+        // Out-of-range flag values are checked before they reach a
+        // library constructor that asserts on them. Each case reads
+        // `<expected message>: <command>`, where `G` stands for a
+        // 6-vertex graph and `I` for an instance on it.
+        let (g, inst) = (tmp("hostile_flags_g6.txt"), tmp("hostile_flags_inst.json"));
+        let run_line = |line: &str| {
+            let args: Vec<&str> = line
+                .split(' ')
+                .map(|arg| match arg {
+                    "G" => g.as_str(),
+                    "I" => inst.as_str(),
+                    arg => arg,
+                })
+                .collect();
+            run(&args)
+        };
+        run_line("generate --topology cycle --nodes 6 --out G").unwrap();
+        run_line("instance --graph G --scenario single-file --out I").unwrap();
+        let cases = [
+            "redundancy: coded --graph G --redundancy 0.5",
+            "redundancy: coded --graph G --redundancy NaN",
+            "--tokens: coded --graph G --tokens 0",
+            "loss: net-run --instance I --loss 1.5",
+            "loss: net-run --instance I --loss NaN",
+            "control_loss: net-run --instance I --control-loss -1",
+            "--nodes: generate --topology tree --nodes 0",
+            "--nodes: generate --topology star --nodes 0",
+            "--source 99: instance --graph G --scenario single-file --source 99",
+            "--files: instance --graph G --scenario multi-file --files 0",
+            "--files: instance --graph G --scenario multi-sender --files 0",
+            "--threshold: instance --graph G --scenario receiver-density --threshold 2",
+            "[0, 1]: run --instance I --strategy random --dynamics churn:2:0.5",
+            "[0, 1]: run --instance I --strategy random --dynamics cross:-1",
+            "[0, 1]: run --instance I --strategy random --dynamics outages:2:0.5",
+        ];
+        for case in cases {
+            let (message, line) = case.split_once(": ").unwrap();
+            let err = run_line(line).unwrap_err();
+            assert!(err.contains(message), "{line}: {err}");
         }
     }
 }

@@ -29,8 +29,7 @@
 //! - [`knowledge`]: the LOCD (§4.1) aggregate-knowledge model.
 //! - [`gf256`] and [`rlnc`]: the §6 redundancy story made real —
 //!   GF(2^8) arithmetic and random linear network coding with a
-//!   rank-tracked [`CodedBasis`] (the coded analogue of [`TokenSet`]),
-//!   next to the idealized k-of-n threshold model in [`coding`].
+//!   rank-tracked [`CodedBasis`] (the coded analogue of [`TokenSet`]).
 //! - [`metrics`]: the suite-wide observability layer — a dependency-free
 //!   registry of counters/gauges/log2-histograms that every execution
 //!   layer fills after its run, from what the run returns.
@@ -74,7 +73,6 @@
 
 pub mod bounds;
 pub mod budgets;
-pub mod coding;
 pub mod gf256;
 mod instance;
 pub mod knowledge;

@@ -1,11 +1,10 @@
 //! Random linear network coding over GF(2^8) (paper §6 made real).
 //!
-//! Where [`crate::coding`] models an *idealized* k-of-n threshold code,
-//! this module implements the real thing: the content is a generation
-//! of `k` source packets, every transmission is a random GF(2^8)-linear
-//! combination of the packets its sender can already reproduce, and a
-//! receiver reconstructs the generation as soon as it has collected `k`
-//! linearly *independent* combinations. The coded analogue of a
+//! The content is a generation of `k` source packets, every
+//! transmission is a random GF(2^8)-linear combination of the packets
+//! its sender can already reproduce, and a receiver reconstructs the
+//! generation as soon as it has collected `k` linearly *independent*
+//! combinations. The coded analogue of a
 //! [`TokenSet`](crate::TokenSet) is a [`CodedBasis`]: a rank-tracked
 //! coefficient matrix with incremental Gaussian elimination, so
 //! innovative-packet detection is a single reduction and decoding is

@@ -471,6 +471,7 @@ fn coded_metrics(report: &CodedSimReport) -> MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::{simulate, SimConfig, StrategyKind};
+    use ocd_core::bounds;
     use ocd_core::scenario::single_file;
     use ocd_graph::generate::{classic, paper_random};
     use rand::prelude::*;
@@ -526,7 +527,8 @@ mod tests {
         // The satellite differential: at loss 0 / redundancy 1, RLNC's
         // completion step is pinned against the uncoded Random
         // schedule on the same topology — the threshold end-game can
-        // only help, never hurt.
+        // only help, never hurt — and stays above the uncoded
+        // instance's radius bound, which a single source shares.
         for seed in 0..5u64 {
             let mut topo_rng = StdRng::seed_from_u64(seed);
             let g = paper_random(20, &mut topo_rng);
@@ -557,6 +559,7 @@ mod tests {
                 coded.report.steps,
                 uncoded.steps
             );
+            assert!(coded.report.steps >= bounds::makespan_lower_bound(&uncoded_inst));
         }
     }
 

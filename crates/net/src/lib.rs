@@ -74,6 +74,4 @@ pub use config::{NetConfig, NetPolicy};
 pub use fault::{FaultEvent, FaultPlan};
 pub use msg::{CtrlMsg, CtrlPayload, DataMsg, MsgKind};
 pub use runtime::{run_swarm, run_swarm_with_spans, NetReport};
-pub use trace::{
-    CompletionHistogram, EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters,
-};
+pub use trace::{EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters};

@@ -44,9 +44,7 @@
 use crate::config::{NetConfig, NetPolicy};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::msg::{CtrlMsg, CtrlPayload, DataMsg, MsgKind};
-use crate::trace::{
-    CompletionHistogram, EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters, NO_FIELD,
-};
+use crate::trace::{EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters, NO_FIELD};
 use ocd_core::knowledge::AggregateKnowledge;
 use ocd_core::provenance::ProvenanceTrace;
 use ocd_core::span::{NoopSpans, SpanRecorder};
@@ -126,12 +124,6 @@ impl NetReport {
                 + self.tokens_lost
                 + self.tokens_dropped_crashed
                 + self.tokens_unresolved
-    }
-
-    /// Completion-tick histogram with the given bucket width.
-    #[must_use]
-    pub fn completion_histogram(&self, bucket_width: u64) -> CompletionHistogram {
-        CompletionHistogram::from_completions(&self.completion_ticks, bucket_width)
     }
 
     /// Feeds the report's vertex/link counters and token accounting

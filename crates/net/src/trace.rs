@@ -1,6 +1,7 @@
-//! Structured run instrumentation: a ring-buffered event log,
-//! per-vertex and per-link counters, and a time-to-completion
-//! histogram, all serializable to JSON and CSV.
+//! Structured run instrumentation: a ring-buffered event log and
+//! per-vertex and per-link counters. The time-to-completion histogram
+//! is `net.completion_ticks` in
+//! [`NetReport::metrics_snapshot`](crate::NetReport::metrics_snapshot).
 //!
 //! The event log is the runtime's flight recorder: bounded memory
 //! (oldest events overwritten), every record tagged with its tick, so a
@@ -272,59 +273,6 @@ pub struct LinkCounters {
     pub max_queue_depth: usize,
 }
 
-/// A histogram of per-vertex completion ticks, in fixed-width buckets.
-#[derive(Debug, Clone)]
-pub struct CompletionHistogram {
-    /// Bucket width in ticks.
-    pub bucket_width: u64,
-    /// `counts[i]` = vertices completing in `[i*w, (i+1)*w)`.
-    pub counts: Vec<u64>,
-    /// Vertices that never completed.
-    pub unfinished: u64,
-}
-
-impl CompletionHistogram {
-    /// Builds the histogram from per-vertex completion ticks.
-    #[must_use]
-    pub fn from_completions(completions: &[Option<u64>], bucket_width: u64) -> Self {
-        let bucket_width = bucket_width.max(1);
-        let mut counts = Vec::new();
-        let mut unfinished = 0;
-        for c in completions {
-            match c {
-                Some(tick) => {
-                    let b = (tick / bucket_width) as usize;
-                    if counts.len() <= b {
-                        counts.resize(b + 1, 0);
-                    }
-                    counts[b] += 1;
-                }
-                None => unfinished += 1,
-            }
-        }
-        CompletionHistogram {
-            bucket_width,
-            counts,
-            unfinished,
-        }
-    }
-
-    /// CSV rendering: `bucket_start,bucket_end,count` rows plus an
-    /// `unfinished` row when applicable.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("bucket_start,bucket_end,count\n");
-        for (i, c) in self.counts.iter().enumerate() {
-            let lo = i as u64 * self.bucket_width;
-            let _ = writeln!(out, "{},{},{}", lo, lo + self.bucket_width, c);
-        }
-        if self.unfinished > 0 {
-            let _ = writeln!(out, "unfinished,,{}", self.unfinished);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,17 +362,6 @@ mod tests {
         let ticks: Vec<u64> = trace.iter().map(|e| e.tick).collect();
         let expected: Vec<u64> = (pushes - capacity as u64..pushes).collect();
         assert_eq!(ticks, expected, "exact window, oldest first");
-    }
-
-    #[test]
-    fn histogram_buckets_and_unfinished() {
-        let completions = [Some(0), Some(3), Some(4), Some(11), None];
-        let h = CompletionHistogram::from_completions(&completions, 4);
-        assert_eq!(h.counts, vec![2, 1, 1]);
-        assert_eq!(h.unfinished, 1);
-        let csv = h.to_csv();
-        assert!(csv.contains("0,4,2"));
-        assert!(csv.contains("unfinished,,1"));
     }
 
     #[test]

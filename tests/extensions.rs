@@ -1,8 +1,8 @@
 //! Integration tests for the §6 "open problems" extensions: changing
-//! network conditions, churn, physical underlays, content encoding, and
-//! the hybrid time/bandwidth objective.
+//! network conditions, churn, physical underlays, and the hybrid
+//! time/bandwidth objective. Content encoding (RLNC) is tested with the
+//! coded engine in `ocd_heuristics::coded`.
 
-use ocd::core::coding::{simulate_coded_random, CodedInstance, CodedSpec};
 use ocd::core::scenario::single_file;
 use ocd::core::validate;
 use ocd::graph::generate::{classic, paper_random, transit_stub, TransitStubConfig};
@@ -93,31 +93,6 @@ fn underlay_inflation_end_to_end() {
     // Stress must reflect sharing: a complete overlay over a tree-ish
     // physical net always multiplexes some physical link.
     assert!(mapping.max_stress(physical.edge_count()) > 1);
-}
-
-#[test]
-fn coding_threshold_model_end_to_end() {
-    let mut rng = StdRng::seed_from_u64(4);
-    let topology = paper_random(20, &mut rng);
-    let uncoded = CodedInstance::single_source(topology.clone(), CodedSpec::new(12, 12), 0);
-    let coded = CodedInstance::single_source(topology, CodedSpec::new(12, 18), 0);
-    let mut total_plain = 0usize;
-    let mut total_coded = 0usize;
-    for seed in 0..6 {
-        let mut r1 = StdRng::seed_from_u64(seed);
-        let a = simulate_coded_random(&uncoded, 10_000, &mut r1);
-        let mut r2 = StdRng::seed_from_u64(seed);
-        let b = simulate_coded_random(&coded, 10_000, &mut r2);
-        assert!(a.success && b.success);
-        assert!(a.steps >= uncoded.makespan_lower_bound().expect("reachable receivers"));
-        assert!(b.steps >= coded.makespan_lower_bound().expect("reachable receivers"));
-        total_plain += a.steps;
-        total_coded += b.steps;
-    }
-    assert!(
-        total_coded <= total_plain,
-        "redundancy cannot slow the threshold end-game: {total_coded} > {total_plain}"
-    );
 }
 
 #[test]
