@@ -1,10 +1,12 @@
 //! The replication-vs-coding cost frontier (paper §6, made real).
 //!
-//! Both contenders run on the *same* asynchronous swarm runtime and the
-//! same degraded links: the uncoded Random swarm moves named tokens and
-//! must chase each loss with a targeted, timeout-driven retransmission;
-//! the coded swarm ([`ocd_net::run_coded_swarm`]) moves random GF(2^8)
-//! combinations, so any innovative packet repairs any loss. The sweep
+//! The two contenders are two swarm protocols on one link layer, so
+//! they face the same degraded links (the same calendars and the same
+//! loss, jitter and control-plane draws): the uncoded Random swarm
+//! ([`ocd_net::run_swarm`]) moves named tokens and must chase each loss
+//! with a targeted, timeout-driven retransmission; the coded swarm
+//! ([`ocd_net::run_coded_swarm`]) moves random GF(2^8) combinations, so
+//! any innovative packet repairs any loss. The sweep
 //! maps generation size `k` × proactive redundancy × per-arc loss rate
 //! and reports makespan (ticks), wire bytes (coded packets pay a
 //! `k`-byte coefficient header on every 256-byte payload), and waste
@@ -17,7 +19,7 @@
 //!
 //! Links are long and jittery (latency 3, jitter 3) with a lightly
 //! lossy control plane — the regime where belief staleness actually
-//! bites — and both runtimes face identical settings. The topology is a
+//! bites — and both protocols face identical settings. The topology is a
 //! grid mesh (every interior vertex has several in-arcs), which is
 //! exactly where replication hurts: two senders pushing concurrently to
 //! the same receiver can pick the *same* missing token (a birthday

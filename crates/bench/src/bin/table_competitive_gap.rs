@@ -29,8 +29,9 @@
 //! Every broadcast run goes through [`NodeCapacity<Ideal>`]: the five
 //! paper heuristics are budget-oblivious and get clipped by admission
 //! (a run that exceeds `64 × oracle` steps reports `dnf`), while the
-//! budget-aware [`PerNeighborQueue`] plans within the uplinks — the
-//! binary asserts it never loses to a paper heuristic at unit uplinks.
+//! budget-aware [`PerNeighborQueue`](ocd_heuristics::PerNeighborQueue)
+//! plans within the uplinks — the binary asserts it never loses to a
+//! paper heuristic at unit uplinks.
 //!
 //! Usage: `table_competitive_gap [--quick | --full] [--seed <u64>]
 //! [--out <dir>]`

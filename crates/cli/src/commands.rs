@@ -38,6 +38,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             if *nodes == 0 && matches!(topology.as_str(), "tree" | "star") {
                 return Err(format!("topology `{topology}` needs --nodes >= 1"));
             }
+            if *nodes < 3 && topology == "cycle" {
+                return Err("topology `cycle` needs --nodes >= 3".to_string());
+            }
             let mut rng = StdRng::seed_from_u64(*seed);
             let (lo, hi) = *cap;
             let graph = match topology.as_str() {
@@ -92,8 +95,25 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                             "--source {source} out of range (graph has {vertices} vertices)"
                         ));
                     }
-                    if *files == 0 && matches!(name, "multi-file" | "multi-sender") {
-                        return Err("--files must be at least 1".to_string());
+                    if matches!(name, "multi-file" | "multi-sender") {
+                        if *files == 0 {
+                            return Err("--files must be at least 1".to_string());
+                        }
+                        if tokens % files != 0 {
+                            return Err(format!(
+                                "--files {files} must evenly divide --tokens {tokens}"
+                            ));
+                        }
+                        if *files > vertices {
+                            return Err(format!(
+                                "--files {files} exceeds the graph's {vertices} vertices"
+                            ));
+                        }
+                    }
+                    if name == "multi-sender" && *files == 1 {
+                        return Err("multi-sender needs --files >= 2: one file is wanted \
+                                    by every vertex, leaving none to source it"
+                            .to_string());
                     }
                     if name == "receiver-density" && !(0.0..=1.0).contains(threshold) {
                         return Err(format!("--threshold must be in [0, 1], got {threshold}"));
@@ -1968,6 +1988,13 @@ mod tests {
             "--source 99: instance --graph G --scenario single-file --source 99",
             "--files: instance --graph G --scenario multi-file --files 0",
             "--files: instance --graph G --scenario multi-sender --files 0",
+            "--nodes >= 3: generate --topology cycle --nodes 0",
+            "--nodes >= 3: generate --topology cycle --nodes 1",
+            "--nodes >= 3: generate --topology cycle --nodes 2",
+            "evenly divide: instance --graph G --scenario multi-file --tokens 10 --files 3",
+            "evenly divide: instance --graph G --scenario multi-sender --tokens 10 --files 3",
+            "exceeds: instance --graph G --scenario multi-file --tokens 8 --files 8",
+            "--files >= 2: instance --graph G --scenario multi-sender --files 1",
             "--threshold: instance --graph G --scenario receiver-density --threshold 2",
             "[0, 1]: run --instance I --strategy random --dynamics churn:2:0.5",
             "[0, 1]: run --instance I --strategy random --dynamics cross:-1",

@@ -334,9 +334,10 @@ impl Problem {
     }
 
     /// Solves the LP relaxation under overridden bounds with the sparse
-    /// revised simplex, optionally warm-starting from a [`Basis`]
-    /// returned by a previous solve of the same problem (typically under
-    /// slightly different bounds — the branch-and-bound child pattern).
+    /// revised simplex, optionally warm-starting from a
+    /// [`Basis`](crate::Basis) returned by a previous solve of the same
+    /// problem (typically under slightly different bounds — the
+    /// branch-and-bound child pattern).
     /// Returns the solution, the optimal basis, and work counters.
     ///
     /// An incompatible `warm` basis is ignored (cold start), never an

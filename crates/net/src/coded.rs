@@ -25,18 +25,20 @@
 //! knowledge hierarchy charges for local state; redundant deliveries
 //! book that price.
 //!
-//! The loop is the same deterministic discrete-event design as the
-//! uncoded runtime: fixed tick phases, calendars keyed `(tick, seq)`,
-//! index-sorted iteration, every probabilistic choice from the caller's
-//! RNG. Same instance + config + redundancy + seed ⇒ identical
-//! counters and completion ticks.
+//! The coded swarm and the uncoded runtime are two protocols on one
+//! link layer: the same per-tick FIFO calendars and the same loss,
+//! jitter and control-plane draws, so both see identically degraded
+//! links. The loop is the same deterministic discrete-event design:
+//! fixed tick phases, index-sorted iteration, every probabilistic
+//! choice from the caller's RNG. Same instance + config + redundancy +
+//! seed ⇒ identical counters and completion ticks.
 
 use crate::config::{NetConfig, NetPolicy};
+use crate::link::{Calendar, CtrlRoute};
 use ocd_core::rlnc::{CodedBasis, CodedPacket, RlncInstance};
 use ocd_core::span::{NoopSpans, SpanRecorder};
-use ocd_graph::EdgeId;
-use rand::{Rng, RngCore};
-use std::collections::BTreeMap;
+use ocd_graph::{EdgeId, NodeId};
+use rand::RngCore;
 
 /// Per-arc counters of a coded swarm run — the coded analogue of
 /// [`LinkCounters`](crate::trace::LinkCounters), with token identity
@@ -54,7 +56,7 @@ pub struct CodedLinkCounters {
 }
 
 /// Result of a coded swarm run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CodedNetReport {
     /// Whether every receiver reached full rank within the tick budget.
     pub success: bool,
@@ -74,9 +76,6 @@ pub struct CodedNetReport {
     pub packets_unresolved: u64,
     /// Wire bytes: packets × (payload length + coefficient header).
     pub bytes_sent: u64,
-    /// Control messages sent (`HAVE` rank announcements + `REQUEST`
-    /// credits); always `have_messages + request_messages`.
-    pub ctrl_messages: u64,
     /// `HAVE` rank beacons sent.
     pub have_messages: u64,
     /// `REQUEST` credit grants sent (pull mode only).
@@ -169,9 +168,10 @@ impl CodedNetReport {
     }
 }
 
-/// An in-flight coded data packet. Loss is decided at send time (one
-/// RNG draw, in send order) but booked at the scheduled arrival tick,
-/// so in-flight accounting stays uniform.
+/// An in-flight coded data packet. Loss is decided at send time (drawn
+/// before jitter, in send order) but booked at the scheduled arrival
+/// tick, so a lost packet counts against its arc's push window until
+/// then.
 struct DataInFlight {
     edge: EdgeId,
     packet: CodedPacket,
@@ -180,10 +180,30 @@ struct DataInFlight {
 
 /// An in-flight control message.
 enum CtrlInFlight {
-    /// `dst`'s new basis rank, addressed to vertex `to`.
-    Have { from: usize, to: usize, rank: usize },
+    /// A basis rank for vertex `to`'s belief about its neighbor in
+    /// `slot`.
+    Have { to: usize, slot: usize, rank: usize },
     /// `count` packet credits for the sender of arc `edge`.
     Request { edge: EdgeId, count: u32 },
+}
+
+/// Applies a delivered control message: a rank belief only ever grows,
+/// and credits add up at the arc's sender.
+fn apply_ctrl(msg: CtrlInFlight, belief: &mut [Vec<usize>], serve_credits: &mut [u32]) {
+    match msg {
+        CtrlInFlight::Have { to, slot, rank } => {
+            let cell = &mut belief[to][slot];
+            *cell = (*cell).max(rank);
+        }
+        CtrlInFlight::Request { edge, count } => serve_credits[edge.index()] += count,
+    }
+}
+
+/// Position of `peer` in `v`'s neighbor list.
+fn slot(neighbors: &[Vec<NodeId>], v: usize, peer: NodeId) -> usize {
+    neighbors[v]
+        .binary_search(&peer)
+        .expect("arc endpoints are neighbors")
 }
 
 /// Outstanding pull-mode credits on one in-arc.
@@ -241,21 +261,20 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
     let pull = !matches!(config.policy, NetPolicy::Random);
 
     let mut bases: Vec<CodedBasis> = instance.initial_bases();
+    let neighbors: Vec<Vec<NodeId>> = g.nodes().map(|v| g.neighbors_undirected(v)).collect();
+    // `belief[v][i]` = the rank `v` believes `neighbors[v][i]` holds.
     // Common-knowledge start: beliefs begin at the true initial ranks
     // (the uncoded runtime's instance-wide have/want bootstrap).
-    let mut believed_rank: Vec<Vec<usize>> = (0..n)
-        .map(|v| {
-            let _ = v;
-            bases.iter().map(CodedBasis::rank).collect()
-        })
+    let mut belief: Vec<Vec<usize>> = neighbors
+        .iter()
+        .map(|peers| peers.iter().map(|u| bases[u.index()].rank()).collect())
         .collect();
     let mut completion: Vec<Option<u64>> =
         bases.iter().map(|b| b.is_complete().then_some(0)).collect();
     let receiver: Vec<bool> = g.nodes().map(|v| instance.is_receiver(v)).collect();
 
-    let mut data_cal: BTreeMap<(u64, u64), DataInFlight> = BTreeMap::new();
-    let mut ctrl_cal: BTreeMap<(u64, u64), CtrlInFlight> = BTreeMap::new();
-    let mut seq = 0u64;
+    let mut data_cal: Calendar<DataInFlight> = Calendar::new();
+    let mut ctrl_cal: Calendar<CtrlInFlight> = Calendar::new();
     // Packets currently in flight per arc (push-mode window control).
     let mut in_flight = vec![0u32; g.edge_count()];
     // Pull-mode sender-side serve queues and receiver-side credit state.
@@ -263,21 +282,8 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
     let mut pending = vec![Pending::default(); g.edge_count()];
 
     let mut report = CodedNetReport {
-        success: false,
-        ticks: 0,
-        packets_sent: 0,
-        innovative_deliveries: 0,
-        redundant_deliveries: 0,
-        packets_lost: 0,
-        packets_unresolved: 0,
-        bytes_sent: 0,
-        ctrl_messages: 0,
-        have_messages: 0,
-        request_messages: 0,
-        request_timeouts: 0,
-        completion_ticks: Vec::new(),
         link_counters: vec![CodedLinkCounters::default(); g.edge_count()],
-        decode_ok: false,
+        ..CodedNetReport::default()
     };
 
     let all_done = |bases: &[CodedBasis]| (0..n).all(|v| !receiver[v] || bases[v].is_complete());
@@ -293,8 +299,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
 
         // Phase 1: data delivery (send order within the tick).
         let phase = spans.open("coded.deliver_data");
-        while let Some((&key, _)) = data_cal.range((now, 0)..=(now, u64::MAX)).next() {
-            let msg = data_cal.remove(&key).expect("keyed entry");
+        for msg in data_cal.take(now) {
             let arc = g.edge(msg.edge);
             in_flight[msg.edge.index()] = in_flight[msg.edge.index()].saturating_sub(1);
             activity = true;
@@ -328,18 +333,9 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
 
         // Phase 2: control delivery.
         let phase = spans.open("coded.deliver_ctrl");
-        while let Some((&key, _)) = ctrl_cal.range((now, 0)..=(now, u64::MAX)).next() {
-            let msg = ctrl_cal.remove(&key).expect("keyed entry");
+        for msg in ctrl_cal.take(now) {
             activity = true;
-            match msg {
-                CtrlInFlight::Have { from, to, rank } => {
-                    let cell = &mut believed_rank[to][from];
-                    *cell = (*cell).max(rank);
-                }
-                CtrlInFlight::Request { edge, count } => {
-                    serve_credits[edge.index()] += count;
-                }
-            }
+            apply_ctrl(msg, &mut belief, &mut serve_credits);
         }
         spans.close(phase);
 
@@ -373,7 +369,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
                 // believed rank exceeds mine.
                 let arcs: Vec<EdgeId> = g
                     .in_edges(v)
-                    .filter(|&e| believed_rank[vi][g.edge(e).src.index()] > my_rank)
+                    .filter(|&e| belief[vi][slot(&neighbors, vi, g.edge(e).src)] > my_rank)
                     .collect();
                 if arcs.is_empty() {
                     continue;
@@ -392,24 +388,15 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
                     let p = &mut pending[e.index()];
                     p.credits += c;
                     p.deadline = now + config.backoff_timeout(p.attempts);
-                    report.ctrl_messages += 1;
                     report.request_messages += 1;
                     activity = true;
-                    if config.control_loss > 0.0 && rng.random_bool(config.control_loss) {
-                        continue;
-                    }
-                    if config.control_latency == 0 {
+                    let msg = CtrlInFlight::Request { edge: e, count: c };
+                    match config.ctrl_route(now, rng) {
+                        CtrlRoute::Lost => {}
                         // Same-tick control plane: credits are
                         // servable this very tick (phase 4 follows).
-                        serve_credits[e.index()] += c;
-                    } else {
-                        send_ctrl(
-                            &mut ctrl_cal,
-                            &mut seq,
-                            now,
-                            config.control_latency,
-                            CtrlInFlight::Request { edge: e, count: c },
-                        );
+                        CtrlRoute::Now => apply_ctrl(msg, &mut belief, &mut serve_credits),
+                        CtrlRoute::At(tick) => ctrl_cal.push(tick, msg),
                     }
                 }
             }
@@ -452,7 +439,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
                 // innovative packets no matter the deficit, so the
                 // window is the believed deficit capped by own rank.
                 let believed_deficit = k
-                    .saturating_sub(believed_rank[src][dst])
+                    .saturating_sub(belief[src][slot(&neighbors, src, arc.dst)])
                     .min(bases[src].rank());
                 let window = (believed_deficit as f64 * redundancy).ceil() as u32;
                 let budget = window
@@ -467,23 +454,14 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
                 report.link_counters[e.index()].packets_sent += 1;
                 report.bytes_sent += packet.wire_bytes();
                 activity = true;
-                let lost = config.loss > 0.0 && rng.random_bool(config.loss);
-                let delay = u64::from(config.latency)
-                    + if config.jitter > 0 {
-                        u64::from(rng.random_range(0..=config.jitter))
-                    } else {
-                        0
-                    };
+                let lost = config.data_lost(rng);
                 in_flight[e.index()] += 1;
-                data_cal.insert(
-                    (now + delay, seq),
-                    DataInFlight {
-                        edge: e,
-                        packet,
-                        lost,
-                    },
-                );
-                seq += 1;
+                let msg = DataInFlight {
+                    edge: e,
+                    packet,
+                    lost,
+                };
+                data_cal.push(config.data_arrival(now, rng), msg);
             }
         }
 
@@ -497,36 +475,23 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
         // refresh.
         let phase = spans.open("coded.beacons");
         for v in g.nodes() {
-            let vi = v.index();
-            let rank = bases[vi].rank();
-            // Announce to every graph neighbor (in- and out-), indexed
-            // ascending for determinism.
-            let mut peers: Vec<usize> = g
-                .out_edges(v)
-                .map(|e| g.edge(e).dst.index())
-                .chain(g.in_edges(v).map(|e| g.edge(e).src.index()))
-                .collect();
-            peers.sort_unstable();
-            peers.dedup();
-            for to in peers {
-                report.ctrl_messages += 1;
+            let rank = bases[v.index()].rank();
+            // Announce to every graph neighbor (in- and out-), in
+            // ascending id order for determinism.
+            for &to in &neighbors[v.index()] {
                 report.have_messages += 1;
-                if config.control_loss > 0.0 && rng.random_bool(config.control_loss) {
-                    continue;
-                }
-                if config.control_latency == 0 {
+                let to = to.index();
+                let msg = CtrlInFlight::Have {
+                    to,
+                    slot: slot(&neighbors, to, v),
+                    rank,
+                };
+                match config.ctrl_route(now, rng) {
+                    CtrlRoute::Lost => {}
                     // Same-tick control plane: the belief lands before
                     // next tick's decisions.
-                    let cell = &mut believed_rank[to][vi];
-                    *cell = (*cell).max(rank);
-                } else {
-                    send_ctrl(
-                        &mut ctrl_cal,
-                        &mut seq,
-                        now,
-                        config.control_latency,
-                        CtrlInFlight::Have { from: vi, to, rank },
-                    );
+                    CtrlRoute::Now => apply_ctrl(msg, &mut belief, &mut serve_credits),
+                    CtrlRoute::At(tick) => ctrl_cal.push(tick, msg),
                 }
             }
         }
@@ -551,23 +516,12 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
         }
     }
 
-    report.packets_unresolved = data_cal.len() as u64;
+    report.packets_unresolved = data_cal.iter().count() as u64;
     report.success = all_done(&bases);
     report.decode_ok =
         report.success && (0..n).all(|v| !receiver[v] || instance.decodes_correctly(&bases[v]));
     report.completion_ticks = completion;
     report
-}
-
-fn send_ctrl(
-    cal: &mut BTreeMap<(u64, u64), CtrlInFlight>,
-    seq: &mut u64,
-    now: u64,
-    latency: u32,
-    msg: CtrlInFlight,
-) {
-    cal.insert((now + u64::from(latency), *seq), msg);
-    *seq += 1;
 }
 
 #[cfg(test)]
@@ -642,11 +596,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let report = run_coded_swarm(&inst, &config, 1.0, &mut rng);
         assert!(report.success);
-        assert_eq!(
-            report.ctrl_messages,
-            report.have_messages + report.request_messages,
-            "per-kind counters partition the control total"
-        );
         let per_arc_sent: u64 = report.link_counters.iter().map(|l| l.packets_sent).sum();
         assert_eq!(per_arc_sent, report.packets_sent);
         let per_arc_lost: u64 = report.link_counters.iter().map(|l| l.lost).sum();

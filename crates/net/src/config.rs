@@ -1,7 +1,6 @@
 //! Runtime configuration: which per-neighbor policy drives the actors
 //! and how the links and timers behave.
 
-use ocd_core::NodeBudgets;
 use std::fmt;
 use std::str::FromStr;
 
@@ -62,6 +61,9 @@ impl FromStr for NetPolicy {
     }
 }
 
+/// Cap on backoff doublings (see [`NetConfig::backoff_timeout`]).
+const MAX_BACKOFF_EXP: u32 = 6;
+
 /// Configuration of the asynchronous runtime.
 ///
 /// The default is the *ideal mode* used by the differential tests: data
@@ -89,36 +91,18 @@ pub struct NetConfig {
     /// Probability a control message is dropped. 0.0 = no loss and no
     /// RNG draw.
     pub control_loss: f64,
-    /// Ticks a receiver waits for a requested token before re-requesting
-    /// (the base of the exponential backoff), and ticks a sender keeps a
-    /// token marked in-flight before it becomes floodable again. `None`
-    /// derives a safe value from the latencies.
-    pub request_timeout: Option<u32>,
-    /// Cap on backoff doublings: the `k`-th retry of the same token
-    /// waits `timeout * 2^min(k, max_backoff_exp)` ticks.
-    pub max_backoff_exp: u32,
     /// Every `have_refresh` ticks each live vertex re-announces its full
     /// possession bitmap to its neighbors, repairing beliefs after lost
     /// `Have` messages or restarts. 0 = never.
     pub have_refresh: u64,
     /// Hard cap on simulated ticks; an incomplete run reports failure.
     pub max_ticks: u64,
-    /// Capacity of the ring-buffered event log (oldest events are
-    /// overwritten once full).
-    pub trace_capacity: usize,
     /// Record causal token provenance (the first-acquisition forest;
     /// see [`ocd_core::provenance`]) onto the report. Data messages
     /// carry their departure tick, so provenance survives loss, crash
     /// drops, and retransmission: only the delivery that is actually
     /// *applied* becomes a parent. Off by default.
     pub record_provenance: bool,
-    /// Per-vertex uplink budgets enforced at sender-decision time: a
-    /// vertex transmits at most its uplink worth of tokens per tick,
-    /// shared across all of its out-arcs (downlinks are not metered by
-    /// the runtime). `None` (the default) falls back to the budgets
-    /// embedded in the instance, if any; an explicit value overrides
-    /// them and must match the instance's vertex count.
-    pub node_budgets: Option<NodeBudgets>,
 }
 
 impl Default for NetConfig {
@@ -130,13 +114,9 @@ impl Default for NetConfig {
             loss: 0.0,
             control_latency: 0,
             control_loss: 0.0,
-            request_timeout: None,
-            max_backoff_exp: 6,
             have_refresh: 10,
             max_ticks: 100_000,
-            trace_capacity: 1 << 16,
             record_provenance: false,
-            node_budgets: None,
         }
     }
 }
@@ -163,35 +143,28 @@ impl NetConfig {
         Ok(())
     }
 
-    /// The effective retry/in-flight timeout: the configured value, or a
-    /// derived one covering a full round trip (request there, token
-    /// back, worst-case jitter) with slack. The derivation saturates
-    /// instead of wrapping, so extreme configured latencies degrade to
-    /// `u32::MAX` rather than to a uselessly small timeout.
+    /// The retry/in-flight timeout: ticks a receiver waits for a
+    /// requested token before re-requesting (the base of the exponential
+    /// backoff), and ticks a sender keeps a token marked in-flight
+    /// before it becomes floodable again. It covers a full round trip
+    /// (request there, token back, worst-case jitter) with slack, and
+    /// saturates instead of wrapping, so extreme configured latencies
+    /// degrade to `u32::MAX` rather than to a uselessly small timeout.
     #[must_use]
     pub fn effective_timeout(&self) -> u32 {
-        self.request_timeout
-            .unwrap_or_else(|| {
-                self.control_latency
-                    .saturating_mul(2)
-                    .saturating_add(self.latency)
-                    .saturating_add(self.jitter)
-                    .saturating_add(2)
-            })
-            .max(1)
+        self.control_latency
+            .saturating_mul(2)
+            .saturating_add(self.latency)
+            .saturating_add(self.jitter)
+            .saturating_add(2)
     }
 
-    /// Backoff-scaled timeout for the `attempts`-th retry.
-    ///
-    /// The doubling count is capped at `max_backoff_exp` *and* at 63 —
-    /// a `u64` cannot represent more doublings, and a configured
-    /// `max_backoff_exp >= 64` must not turn into a shift overflow
-    /// (debug panic / release wraparound to a tiny timeout). The
-    /// multiply saturates to `u64::MAX` for the same reason.
+    /// Backoff-scaled timeout for the `attempts`-th retry: the `k`-th
+    /// retry of the same token waits `timeout * 2^min(k, 6)` ticks,
+    /// which fits a `u64` for every `u32` timeout.
     #[must_use]
     pub fn backoff_timeout(&self, attempts: u32) -> u64 {
-        let exp = attempts.min(self.max_backoff_exp).min(63);
-        u64::from(self.effective_timeout()).saturating_mul(1u64 << exp)
+        u64::from(self.effective_timeout()) << attempts.min(MAX_BACKOFF_EXP)
     }
 
     /// Whether this configuration is the lockstep-equivalent ideal mode
@@ -250,41 +223,8 @@ mod tests {
         assert_eq!(config.effective_timeout(), 8);
         assert_eq!(config.backoff_timeout(0), 8);
         assert_eq!(config.backoff_timeout(2), 32);
-        // Backoff saturates at max_backoff_exp doublings.
+        // Backoff stops doubling after six retries.
         assert_eq!(config.backoff_timeout(99), 8 << 6);
-        let fixed = NetConfig {
-            request_timeout: Some(5),
-            ..NetConfig::default()
-        };
-        assert_eq!(fixed.effective_timeout(), 5);
-    }
-
-    #[test]
-    fn backoff_exponent_clamps_instead_of_overflowing() {
-        // Regression: `max_backoff_exp >= 64` used to overflow the
-        // `u64 <<` (debug panic, release wrap to a tiny timeout).
-        let base = u64::from(NetConfig::default().effective_timeout());
-        for exp in [63, 64, u32::MAX] {
-            let config = NetConfig {
-                max_backoff_exp: exp,
-                ..NetConfig::default()
-            };
-            assert_eq!(config.backoff_timeout(0), base, "exp {exp}: no retries yet");
-            let huge = config.backoff_timeout(u32::MAX);
-            assert_eq!(
-                huge,
-                base.saturating_mul(1u64 << 63),
-                "exp {exp}: doublings cap at 63"
-            );
-            assert!(huge >= config.backoff_timeout(62), "monotone in attempts");
-        }
-        // A base timeout of 2+ saturates the multiply at u64::MAX.
-        let config = NetConfig {
-            request_timeout: Some(2),
-            max_backoff_exp: u32::MAX,
-            ..NetConfig::default()
-        };
-        assert_eq!(config.backoff_timeout(63), u64::MAX);
     }
 
     #[test]
@@ -303,13 +243,11 @@ mod tests {
             ..NetConfig::default()
         };
         assert_eq!(near.effective_timeout(), u32::MAX, "2x control saturates");
-        // An explicit request_timeout bypasses the derivation entirely.
-        let fixed = NetConfig {
-            latency: u32::MAX,
-            request_timeout: Some(7),
-            ..NetConfig::default()
-        };
-        assert_eq!(fixed.effective_timeout(), 7);
+        assert_eq!(
+            config.backoff_timeout(u32::MAX),
+            u64::from(u32::MAX) << 6,
+            "the longest backoff fits a u64"
+        );
     }
 
     #[test]

@@ -18,12 +18,23 @@
 //! in-arc, `Token` data payloads (the only kind metered by arc
 //! capacity), and `Cancel` withdrawals for tokens obtained elsewhere.
 //!
+//! # Two protocols, one link layer
+//!
+//! [`run_swarm`] moves named tokens; [`run_coded_swarm`] moves random
+//! GF(2^8) combinations (see [`coded`]). Both run on one link layer: a
+//! calendar per plane that delivers each tick's messages in send order,
+//! and the data-loss, jitter and control-route draws, each written once.
+//! So the two protocols see identically degraded links, which is what
+//! lets `table_coding_frontier` compare them. Each keeps its own tick
+//! loop: the two test for completion at different points and count
+//! ticks differently.
+//!
 //! # Determinism
 //!
 //! The runtime is a deterministic discrete-event simulation: ticks run
-//! fixed phases, calendars and iteration orders are index-sorted, and
-//! every probabilistic choice (policy tie-breaks, loss, jitter) comes
-//! from the caller's RNG. **Same instance + config + fault plan + seed
+//! fixed phases, calendars deliver in send order, iteration orders are
+//! index-sorted, and every probabilistic choice (policy tie-breaks,
+//! loss, jitter) comes from the caller's RNG. **Same instance + config + fault plan + seed
 //! ⇒ identical event order, trace, counters, and schedule.**
 //!
 //! In the default *ideal mode* (latency 1, no jitter, no loss,
@@ -65,6 +76,7 @@
 pub mod coded;
 pub mod config;
 pub mod fault;
+mod link;
 pub mod msg;
 pub mod runtime;
 pub mod trace;

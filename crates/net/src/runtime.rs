@@ -43,6 +43,7 @@
 
 use crate::config::{NetConfig, NetPolicy};
 use crate::fault::{FaultEvent, FaultPlan};
+use crate::link::{Calendar, CtrlRoute};
 use crate::msg::{CtrlMsg, CtrlPayload, DataMsg, MsgKind};
 use crate::trace::{EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters, NO_FIELD};
 use ocd_core::knowledge::AggregateKnowledge;
@@ -53,8 +54,11 @@ use ocd_graph::{EdgeId, NodeId};
 use ocd_heuristics::policy::{
     deterministic_rarest_fill, random_fill, rarest_flood_fill, subdivide_requests,
 };
-use rand::{Rng, RngCore};
-use std::collections::{BTreeMap, VecDeque};
+use rand::RngCore;
+use std::collections::VecDeque;
+
+/// Events the ring-buffered log retains; older ones are overwritten.
+const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Result of an asynchronous run.
 #[derive(Debug, Clone)]
@@ -88,7 +92,7 @@ pub struct NetReport {
     pub vertex_counters: Vec<VertexCounters>,
     /// Per-arc counters.
     pub link_counters: Vec<LinkCounters>,
-    /// The ring-buffered event log.
+    /// The ring-buffered event log, holding the last 65,536 events.
     pub trace: EventTrace,
     /// Causal token-provenance trace; `None` unless
     /// [`NetConfig::record_provenance`] was set. Acquisition steps are
@@ -201,8 +205,7 @@ struct Outstanding {
 struct Runtime<'a> {
     instance: &'a Instance,
     config: &'a NetConfig,
-    /// Effective uplink budgets: the config override, else the budgets
-    /// embedded in the instance, else unconstrained.
+    /// The uplink budgets embedded in the instance, if any.
     budgets: Option<&'a NodeBudgets>,
     timeout: u32,
     n: usize,
@@ -223,9 +226,9 @@ struct Runtime<'a> {
     inflight_expiry: Vec<Vec<Option<u64>>>,
     inflight_set: Vec<TokenSet>,
     sent_ever: Vec<TokenSet>,
-    // --- event calendar ---
-    data_cal: BTreeMap<u64, Vec<DataMsg>>,
-    ctrl_cal: BTreeMap<u64, Vec<CtrlMsg>>,
+    // --- links ---
+    data_cal: Calendar<DataMsg>,
+    ctrl_cal: Calendar<CtrlMsg>,
     // --- progress tracking ---
     aggregates: AggregateKnowledge,
     missing: Vec<usize>,
@@ -236,17 +239,16 @@ struct Runtime<'a> {
     trace: EventTrace,
     vcount: Vec<VertexCounters>,
     lcount: Vec<LinkCounters>,
-    duplicate_deliveries: u64,
-    tokens_delivered: u64,
-    tokens_lost: u64,
-    tokens_dropped_crashed: u64,
     provenance: Option<ProvenanceTrace>,
 }
 
 /// Runs the asynchronous swarm on `instance` under `config` and the
 /// scripted `faults`, drawing all randomness (policy tie-breaks, loss,
 /// jitter) from `rng`. Same instance + config + faults + seed ⇒
-/// identical event order, trace, and schedule.
+/// identical event order, trace, and schedule. Uplink budgets embedded
+/// in the instance are enforced at sender-decision time: a vertex
+/// transmits at most its uplink worth of tokens per tick, shared across
+/// all of its out-arcs (downlinks are not metered by the runtime).
 pub fn run_swarm(
     instance: &Instance,
     config: &NetConfig,
@@ -272,25 +274,14 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
     config.validate().expect("invalid net config");
     let g = instance.graph();
     let n = g.node_count();
-    let budgets = config
-        .node_budgets
-        .as_ref()
-        .or_else(|| instance.node_budgets());
+    let budgets = instance.node_budgets();
     if let Some(b) = budgets {
         assert_eq!(b.len(), n, "node budgets must cover every vertex");
     }
     let m = instance.num_tokens();
 
     let possession: Vec<TokenSet> = instance.have_all().to_vec();
-    let neighbors: Vec<Vec<NodeId>> = g
-        .nodes()
-        .map(|v| {
-            let mut peers: Vec<NodeId> = g.out_neighbors(v).chain(g.in_neighbors(v)).collect();
-            peers.sort_unstable();
-            peers.dedup();
-            peers
-        })
-        .collect();
+    let neighbors: Vec<Vec<NodeId>> = g.nodes().map(|v| g.neighbors_undirected(v)).collect();
     let belief: Vec<Vec<TokenSet>> = neighbors
         .iter()
         .map(|peers| vec![TokenSet::new(m); peers.len()])
@@ -304,7 +295,7 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
         missing.iter().map(|&c| (c == 0).then_some(0)).collect();
     let aggregates = AggregateKnowledge::compute(m, &possession, instance.want_all());
 
-    let mut rt = Runtime {
+    let rt = Runtime {
         instance,
         config,
         budgets,
@@ -323,20 +314,16 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
         inflight_expiry: vec![vec![None; m]; g.edge_count()],
         inflight_set: vec![TokenSet::new(m); g.edge_count()],
         sent_ever: vec![TokenSet::new(m); g.edge_count()],
-        data_cal: BTreeMap::new(),
-        ctrl_cal: BTreeMap::new(),
+        data_cal: Calendar::new(),
+        ctrl_cal: Calendar::new(),
         aggregates,
         missing,
         remaining,
         completion_ticks,
         recorder: ScheduleRecorder::new(),
-        trace: EventTrace::new(config.trace_capacity),
+        trace: EventTrace::new(TRACE_CAPACITY),
         vcount: vec![VertexCounters::default(); n],
         lcount: vec![LinkCounters::default(); g.edge_count()],
-        duplicate_deliveries: 0,
-        tokens_delivered: 0,
-        tokens_lost: 0,
-        tokens_dropped_crashed: 0,
         provenance: config.record_provenance.then(|| ProvenanceTrace::new(n, m)),
     };
     rt.run(faults, rng, spans)
@@ -344,7 +331,7 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
 
 impl Runtime<'_> {
     fn run<S: SpanRecorder>(
-        &mut self,
+        mut self,
         faults: &FaultPlan,
         rng: &mut dyn RngCore,
         spans: &mut S,
@@ -366,7 +353,7 @@ impl Runtime<'_> {
             self.deliver_data(now, rng);
             spans.close(phase);
             let phase = spans.open("net.deliver_ctrl");
-            self.deliver_ctrl(now, rng);
+            self.deliver_ctrl(now);
             spans.close(phase);
             if self.remaining == 0 {
                 success = true;
@@ -390,34 +377,31 @@ impl Runtime<'_> {
             now += 1;
         }
 
-        let tokens_unresolved: u64 = self
-            .data_cal
-            .values()
-            .flatten()
-            .map(|msg| msg.tokens.len() as u64)
-            .sum();
         let mut messages_sent = [0u64; 4];
         for vc in &self.vcount {
             for (total, sent) in messages_sent.iter_mut().zip(vc.sent) {
                 *total += sent;
             }
         }
+        // The run-wide totals are sums of the per-vertex and per-arc
+        // counters.
+        let links = &self.lcount;
         NetReport {
             success,
             ticks: now,
-            schedule: std::mem::take(&mut self.recorder).finish(),
-            completion_ticks: std::mem::take(&mut self.completion_ticks),
-            duplicate_deliveries: self.duplicate_deliveries,
-            tokens_delivered: self.tokens_delivered,
-            tokens_lost: self.tokens_lost,
-            tokens_dropped_crashed: self.tokens_dropped_crashed,
-            tokens_unresolved,
-            retransmits: self.lcount.iter().map(|l| l.retransmits).sum(),
+            schedule: self.recorder.finish(),
+            completion_ticks: self.completion_ticks,
+            duplicate_deliveries: self.vcount.iter().map(|v| v.duplicate_tokens).sum(),
+            tokens_delivered: links.iter().map(|l| l.tokens_delivered).sum(),
+            tokens_lost: links.iter().map(|l| l.tokens_lost).sum(),
+            tokens_dropped_crashed: links.iter().map(|l| l.tokens_dropped_crashed).sum(),
+            tokens_unresolved: self.data_cal.iter().map(|m| m.tokens.len() as u64).sum(),
+            retransmits: links.iter().map(|l| l.retransmits).sum(),
             messages_sent,
-            vertex_counters: std::mem::take(&mut self.vcount),
-            link_counters: std::mem::take(&mut self.lcount),
-            trace: std::mem::replace(&mut self.trace, EventTrace::new(1)),
-            provenance: self.provenance.take(),
+            vertex_counters: self.vcount,
+            link_counters: self.lcount,
+            trace: self.trace,
+            provenance: self.provenance,
         }
     }
 
@@ -431,8 +415,25 @@ impl Runtime<'_> {
             && self.outstanding_set.iter().all(TokenSet::is_empty)
     }
 
-    fn event(&mut self, e: TraceEvent) {
-        self.trace.push(e);
+    /// Appends one record to the event log; `peer` and `edge` are
+    /// `None` for events that involve `vertex` alone.
+    fn event(
+        &mut self,
+        tick: u64,
+        kind: EventKind,
+        vertex: NodeId,
+        peer: Option<NodeId>,
+        edge: Option<EdgeId>,
+        tokens: usize,
+    ) {
+        self.trace.push(TraceEvent {
+            tick,
+            kind,
+            vertex: vertex.index() as u32,
+            peer: peer.map_or(NO_FIELD, |p| p.index() as u32),
+            edge: edge.map_or(NO_FIELD, |e| e.index() as u32),
+            tokens: tokens as u32,
+        });
     }
 
     // ---------- phase 1: faults ----------
@@ -466,14 +467,7 @@ impl Runtime<'_> {
             self.inflight_expiry[e.index()].fill(None);
             self.inflight_set[e.index()].clear();
         }
-        self.event(TraceEvent {
-            tick: now,
-            kind: EventKind::Crash,
-            vertex: v.index() as u32,
-            peer: NO_FIELD,
-            edge: NO_FIELD,
-            tokens: 0,
-        });
+        self.event(now, EventKind::Crash, v, None, None, 0);
     }
 
     fn restart(&mut self, v: NodeId, now: u64, rng: &mut dyn RngCore) {
@@ -481,14 +475,7 @@ impl Runtime<'_> {
             return;
         }
         self.alive[v.index()] = true;
-        self.event(TraceEvent {
-            tick: now,
-            kind: EventKind::Restart,
-            vertex: v.index() as u32,
-            peer: NO_FIELD,
-            edge: NO_FIELD,
-            tokens: 0,
-        });
+        self.event(now, EventKind::Restart, v, None, None, 0);
         // Rejoin: tell the neighborhood what survived on disk.
         self.announce_have(v, now, rng);
     }
@@ -496,41 +483,23 @@ impl Runtime<'_> {
     // ---------- phase 2: data delivery ----------
 
     fn deliver_data(&mut self, now: u64, rng: &mut dyn RngCore) {
-        let Some(batch) = self.data_cal.remove(&now) else {
-            return;
-        };
         let g = self.instance.graph();
-        for msg in batch {
+        for msg in self.data_cal.take(now) {
             let arc = g.edge(msg.edge);
             let dst = arc.dst;
+            let len = msg.tokens.len();
             if !self.alive[dst.index()] {
-                self.tokens_dropped_crashed += msg.tokens.len() as u64;
-                self.lcount[msg.edge.index()].tokens_dropped_crashed += msg.tokens.len() as u64;
-                self.event(TraceEvent {
-                    tick: now,
-                    kind: EventKind::DataDroppedCrashed,
-                    vertex: dst.index() as u32,
-                    peer: arc.src.index() as u32,
-                    edge: msg.edge.index() as u32,
-                    tokens: msg.tokens.len() as u32,
-                });
+                self.lcount[msg.edge.index()].tokens_dropped_crashed += len as u64;
+                let kind = EventKind::DataDroppedCrashed;
+                self.event(now, kind, dst, Some(arc.src), Some(msg.edge), len);
                 continue;
             }
             let new = msg.tokens.difference(&self.possession[dst.index()]);
-            let dup = (msg.tokens.len() - new.len()) as u64;
-            self.duplicate_deliveries += dup;
-            self.vcount[dst.index()].duplicate_tokens += dup;
+            self.vcount[dst.index()].duplicate_tokens += (len - new.len()) as u64;
             self.vcount[dst.index()].received[MsgKind::Token.index()] += 1;
-            self.tokens_delivered += msg.tokens.len() as u64;
-            self.lcount[msg.edge.index()].tokens_delivered += msg.tokens.len() as u64;
-            self.event(TraceEvent {
-                tick: now,
-                kind: EventKind::DataDeliver,
-                vertex: dst.index() as u32,
-                peer: arc.src.index() as u32,
-                edge: msg.edge.index() as u32,
-                tokens: msg.tokens.len() as u32,
-            });
+            self.lcount[msg.edge.index()].tokens_delivered += len as u64;
+            let kind = EventKind::DataDeliver;
+            self.event(now, kind, dst, Some(arc.src), Some(msg.edge), len);
 
             // Clear satisfied requests; cancel duplicates ordered
             // elsewhere so the other sender can reuse the slot.
@@ -561,14 +530,7 @@ impl Runtime<'_> {
                 self.missing[dst.index()] -= satisfied as usize;
                 if self.missing[dst.index()] == 0 && self.completion_ticks[dst.index()].is_none() {
                     self.completion_ticks[dst.index()] = Some(now);
-                    self.event(TraceEvent {
-                        tick: now,
-                        kind: EventKind::Complete,
-                        vertex: dst.index() as u32,
-                        peer: NO_FIELD,
-                        edge: NO_FIELD,
-                        tokens: 0,
-                    });
+                    self.event(now, EventKind::Complete, dst, None, None, 0);
                 }
                 // Announce the enlarged possession to the neighborhood.
                 self.announce_have(dst, now, rng);
@@ -584,41 +546,22 @@ impl Runtime<'_> {
 
     // ---------- phase 3: control delivery ----------
 
-    fn deliver_ctrl(&mut self, now: u64, rng: &mut dyn RngCore) {
-        let Some(batch) = self.ctrl_cal.remove(&now) else {
-            return;
-        };
-        for msg in batch {
-            self.apply_ctrl(msg, now, rng);
+    fn deliver_ctrl(&mut self, now: u64) {
+        for msg in self.ctrl_cal.take(now) {
+            self.apply_ctrl(msg, now);
         }
     }
 
-    fn apply_ctrl(&mut self, msg: CtrlMsg, now: u64, _rng: &mut dyn RngCore) {
+    fn apply_ctrl(&mut self, msg: CtrlMsg, now: u64) {
         let to = msg.to;
         if !self.alive[to.index()] {
-            self.event(TraceEvent {
-                tick: now,
-                kind: EventKind::CtrlDroppedCrashed,
-                vertex: to.index() as u32,
-                peer: msg.from.index() as u32,
-                edge: NO_FIELD,
-                tokens: 0,
-            });
+            let kind = EventKind::CtrlDroppedCrashed;
+            self.event(now, kind, to, Some(msg.from), None, 0);
             return;
         }
         self.vcount[to.index()].received[msg.payload.kind().index()] += 1;
-        self.event(TraceEvent {
-            tick: now,
-            kind: EventKind::CtrlDeliver,
-            vertex: to.index() as u32,
-            peer: msg.from.index() as u32,
-            edge: NO_FIELD,
-            tokens: match &msg.payload {
-                CtrlPayload::Have(s) | CtrlPayload::Request(s) | CtrlPayload::Cancel(s) => {
-                    s.len() as u32
-                }
-            },
-        });
+        let len = payload_len(&msg.payload);
+        self.event(now, EventKind::CtrlDeliver, to, Some(msg.from), None, len);
         let g = self.instance.graph();
         match msg.payload {
             CtrlPayload::Have(snapshot) => {
@@ -695,14 +638,7 @@ impl Runtime<'_> {
                 self.outstanding[vi][t.index()] = None;
                 self.outstanding_set[vi].remove(t);
                 self.vcount[vi].request_timeouts += 1;
-                self.event(TraceEvent {
-                    tick: now,
-                    kind: EventKind::RequestTimeout,
-                    vertex: vi as u32,
-                    peer: NO_FIELD,
-                    edge: NO_FIELD,
-                    tokens: 1,
-                });
+                self.event(now, EventKind::RequestTimeout, v, None, None, 1);
             }
 
             let mut need = self.instance.want(v).difference(&self.possession[vi]);
@@ -847,37 +783,21 @@ impl Runtime<'_> {
             transmitted += send.len() as u64;
             self.lcount[e.index()].tokens_sent += send.len() as u64;
             self.vcount[src.index()].sent[MsgKind::Token.index()] += 1;
-            self.event(TraceEvent {
-                tick: now,
-                kind: EventKind::DataSend,
-                vertex: src.index() as u32,
-                peer: dst.index() as u32,
-                edge: e.index() as u32,
-                tokens: send.len() as u32,
-            });
+            let len = send.len();
+            self.event(now, EventKind::DataSend, src, Some(dst), Some(e), len);
 
-            if self.config.loss > 0.0 && rng.random_bool(self.config.loss) {
-                self.tokens_lost += send.len() as u64;
-                self.lcount[e.index()].tokens_lost += send.len() as u64;
-                self.event(TraceEvent {
-                    tick: now,
-                    kind: EventKind::DataLost,
-                    vertex: src.index() as u32,
-                    peer: dst.index() as u32,
-                    edge: e.index() as u32,
-                    tokens: send.len() as u32,
-                });
+            // A lost message draws no jitter.
+            if self.config.data_lost(rng) {
+                self.lcount[e.index()].tokens_lost += len as u64;
+                self.event(now, EventKind::DataLost, src, Some(dst), Some(e), len);
                 continue;
             }
-            let mut arrival = now + u64::from(self.config.latency);
-            if self.config.jitter > 0 {
-                arrival += u64::from(rng.random_range(0..=self.config.jitter));
-            }
-            self.data_cal.entry(arrival).or_default().push(DataMsg {
+            let msg = DataMsg {
                 edge: e,
                 tokens: send,
                 sent_at: now,
-            });
+            };
+            self.data_cal.push(self.config.data_arrival(now, rng), msg);
         }
         transmitted
     }
@@ -920,40 +840,23 @@ impl Runtime<'_> {
         rng: &mut dyn RngCore,
     ) {
         self.vcount[from.index()].sent[payload.kind().index()] += 1;
-        self.event(TraceEvent {
-            tick: now,
-            kind: EventKind::CtrlSend,
-            vertex: from.index() as u32,
-            peer: to.index() as u32,
-            edge: NO_FIELD,
-            tokens: match &payload {
-                CtrlPayload::Have(s) | CtrlPayload::Request(s) | CtrlPayload::Cancel(s) => {
-                    s.len() as u32
-                }
-            },
-        });
-        if self.config.control_loss > 0.0 && rng.random_bool(self.config.control_loss) {
-            self.event(TraceEvent {
-                tick: now,
-                kind: EventKind::CtrlLost,
-                vertex: from.index() as u32,
-                peer: to.index() as u32,
-                edge: NO_FIELD,
-                tokens: 0,
-            });
-            return;
-        }
+        let len = payload_len(&payload);
+        self.event(now, EventKind::CtrlSend, from, Some(to), None, len);
         let msg = CtrlMsg { from, to, payload };
-        if self.config.control_latency == 0 {
+        match self.config.ctrl_route(now, rng) {
+            CtrlRoute::Lost => self.event(now, EventKind::CtrlLost, from, Some(to), None, 0),
             // Same-tick control plane: apply immediately, preserving the
             // lockstep engine's synchronized-knowledge semantics.
-            self.apply_ctrl(msg, now, rng);
-        } else {
-            self.ctrl_cal
-                .entry(now + u64::from(self.config.control_latency))
-                .or_default()
-                .push(msg);
+            CtrlRoute::Now => self.apply_ctrl(msg, now),
+            CtrlRoute::At(tick) => self.ctrl_cal.push(tick, msg),
         }
+    }
+}
+
+/// Tokens a control message names.
+fn payload_len(payload: &CtrlPayload) -> usize {
+    match payload {
+        CtrlPayload::Have(s) | CtrlPayload::Request(s) | CtrlPayload::Cancel(s) => s.len(),
     }
 }
 
@@ -1029,8 +932,8 @@ mod tests {
     #[test]
     fn embedded_budgets_meter_the_uplink() {
         // The MWW broadcast instance carries its budgets; the runtime
-        // picks them up without any config override, and the extracted
-        // schedule certifies under the budget-enforcing replay.
+        // picks them up, and the extracted schedule certifies under the
+        // budget-enforcing replay.
         let instance = ocd_heuristics::optimal::broadcast_instance(2, 3, 1, 1);
         let config = NetConfig {
             policy: NetPolicy::PerNeighborQueue,
@@ -1054,18 +957,26 @@ mod tests {
     }
 
     #[test]
-    fn config_budgets_override_the_instance() {
-        // An unbudgeted instance plus a config-supplied budget: every
-        // tick's per-sender total respects the override.
-        let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = NetConfig {
-            policy: NetPolicy::Random,
-            node_budgets: Some(NodeBudgets::uplink_only(6, 1)),
-            ..NetConfig::default()
-        };
+    fn budget_embedded_in_the_ring_binds() {
+        // The ring instance with a unit uplink budget embedded: every
+        // tick's per-sender total respects the budget.
+        let instance = Instance::builder(classic::cycle(6, 2, true), 8)
+            .have_set(0, TokenSet::full(8))
+            .want_all_everywhere()
+            .node_budgets(NodeBudgets::uplink_only(6, 1))
+            .build()
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let report = run_swarm(&instance, &config, &FaultPlan::none(), &mut rng);
+        let report = run_swarm(
+            &instance,
+            &NetConfig::default(),
+            &FaultPlan::none(),
+            &mut rng,
+        );
         assert!(report.success);
+        assert!(validate::replay(&instance, &report.schedule)
+            .unwrap()
+            .is_successful());
         for step in report.schedule.steps() {
             let mut per_src = [0u64; 6];
             for (e, tokens) in step.sends() {

@@ -160,7 +160,6 @@ fn fault_injection_recovers_and_accounts_for_every_token() {
         control_latency: 1,
         control_loss: 0.10,
         have_refresh: 5,
-        trace_capacity: 1 << 20,
         ..NetConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(2026);

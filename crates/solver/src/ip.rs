@@ -13,7 +13,7 @@
 //!   have infinite capacity — "storage is not hard to model … simply add
 //!   self-edges of infinite capacity", §2 fn. 1);
 //! - **uplink/downlink** (when the instance carries
-//!   [`NodeBudgets`](ocd_core::NodeBudgets)): per step and vertex,
+//!   [`NodeBudgets`]): per step and vertex,
 //!   `Σ_{(v,·)} Σ_t x^i ≤ uplink(v)` and `Σ_{(·,v)} Σ_t x^i ≤
 //!   downlink(v)`; unlimited budgets emit no row;
 //! - **want**: `x^τ_{(v,v),t} ≥ 1` for `t ∈ w(v)`.
@@ -420,7 +420,7 @@ pub enum MakespanOutcome {
 /// optimum, certified by the chain of infeasibility proofs below it.
 ///
 /// This is the only *exact* makespan path that honors
-/// [`NodeBudgets`](ocd_core::NodeBudgets) — the combinatorial
+/// [`NodeBudgets`] — the combinatorial
 /// [`bnb`](crate::bnb) solver ignores them. Pass a large
 /// `absolute_gap` in `options` to stop each feasible MILP at its first
 /// incumbent (pure feasibility mode — the makespan certificate is
