@@ -210,8 +210,8 @@ impl Comparison {
 }
 
 /// Loads both snapshot files, compares them, and returns the rendered
-/// table plus the gate verdict — the shared implementation behind the
-/// `bench_compare` binary and `ocd bench compare`.
+/// table plus the gate verdict — the implementation behind
+/// `ocd bench compare`.
 ///
 /// # Errors
 ///

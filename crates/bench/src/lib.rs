@@ -21,8 +21,7 @@
 //! crate hosts the shared machinery: multi-seed parallel evaluation
 //! ([`runner`]), summary statistics ([`stats`]), aligned-table/CSV
 //! output ([`table`]), and the perf-trajectory snapshot gate
-//! ([`compare`], also exposed as the `bench_compare` binary and
-//! `ocd bench compare`).
+//! ([`compare`], exposed as `ocd bench compare`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -4,6 +4,7 @@
 //! help`.
 
 fn main() {
-    let code = ocd_cli::run_cli(std::env::args().skip(1).collect());
+    let args = std::env::args().skip(1).collect();
+    let code = ocd_cli::run_cli(args, &mut std::io::stdout(), &mut std::io::stderr());
     std::process::exit(code);
 }

@@ -1,16 +1,19 @@
-//! Command execution for the `ocd` tool.
+//! One function per `ocd` subcommand. Each reads and type-checks its
+//! own flags, then returns the work to run as a [`Job`]; [`parse`]
+//! rejects any flag the subcommand never read before the job runs.
 
-use crate::opts::{Command, USAGE};
+use crate::flags::Flags;
 use ocd_core::span::{FlightRecorder, SpanRecorder};
-use ocd_core::{bounds, prune, Instance, ProvenanceTrace, RlncInstance, Schedule};
+use ocd_core::{bounds, prune, Instance, MetricsSnapshot, ProvenanceTrace, RlncInstance, Schedule};
 use ocd_graph::generate::{classic, gnp, transit_stub, GnpConfig, TransitStubConfig};
 use ocd_graph::{algo, io as gio, DiGraph};
 use ocd_heuristics::{
-    simulate, simulate_with, CodedLocal, CodedRandom, CodedSimConfig, CodedStrategy, Dynamic,
-    Ideal, LossyCoded, Medium, NodeCapacity, SimConfig, StrategyKind,
+    simulate, simulate_coded, simulate_coded_with, simulate_with, CodedLocal, CodedRandom,
+    CodedSimConfig, CodedStrategy, Dynamic, Ideal, LossyCoded, NodeCapacity, SimConfig,
+    StrategyKind,
 };
 use ocd_lp::MipOptions;
-use ocd_net::{run_swarm, FaultPlan, NetConfig, NetPolicy};
+use ocd_net::{run_swarm, FaultPlan, NetConfig};
 use ocd_solver::bnb::{decide_focd, solve_focd_with_spans, BnbOptions};
 use ocd_solver::ip::min_bandwidth_for_horizon_with_spans;
 use ocd_solver::reduction::{dominating_set_from_schedule, focd_from_dominating_set};
@@ -19,817 +22,887 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 
-/// Executes a parsed command, returning the text to print on stdout.
+/// The work of one invocation: the text to print on success, or a
+/// message for the failure (exit 1).
+pub(crate) type Job = Box<dyn FnOnce() -> Result<String, String>>;
+
+/// Reads one subcommand's flags into its job. An error is a usage
+/// error (exit 2).
+type Reader = fn(&mut Flags) -> Result<Job, String>;
+
+/// Every subcommand with the function that reads its flags. A
+/// two-word name is a group (`trace`, `bench`) and one of its modes.
+const COMMANDS: &[(&str, Reader)] = &[
+    ("generate", generate),
+    ("instance", instance),
+    ("run", run),
+    ("net-run", net_run),
+    ("coded", coded),
+    ("solve", solve),
+    ("bounds", bounds),
+    ("validate", validate),
+    ("reduce-ds", reduce_ds),
+    ("compare", compare),
+    ("certify", certify),
+    ("trace analyze", trace_analyze),
+    ("trace export", trace_export),
+    ("bench compare", bench_compare),
+];
+
+pub(crate) const USAGE: &str = "\
+ocd — the Overlay Network Content Distribution toolbox
+
+USAGE:
+  ocd generate  --topology <random|transit-stub|path|cycle|star|complete|grid|tree>
+                --nodes <N> [--seed <S>] [--cap <LO..HI>] [--out <FILE>]
+  ocd instance  --graph <FILE> --scenario <single-file|receiver-density|multi-file|multi-sender|figure-one>
+                [--tokens <M>] [--files <K>] [--source <V>] [--threshold <T>] [--seed <S>] [--out <FILE>]
+  ocd run       --instance <FILE> --strategy <round-robin|random|local|bandwidth|global|gather-then-plan|per-neighbor-queue>
+                [--seed <S>] [--delay <K>] [--max-steps <N>] [--schedule <FILE>] [--prune]
+                [--dynamics <static|cross:F|outages:P:Q|churn:P:Q|adversary:B[:C]>] [--record <FILE>]
+                [--metrics <FILE.json|FILE.csv>]
+  ocd net-run   --instance <FILE> [--policy <random|local|per-neighbor-queue>] [--seed <S>]
+                [--latency <T>] [--jitter <J>] [--loss <P>] [--control-latency <T>] [--control-loss <P>]
+                [--max-ticks <N>] [--crash <V:DOWN:UP>] [--trace <FILE.json|FILE.csv>] [--schedule <FILE>]
+  ocd coded     --graph <FILE> [--strategy <random|local>] [--tokens <K>] [--payload <BYTES>]
+                [--source <V>] [--redundancy <R>] [--loss <P>] [--seed <S>] [--max-steps <N>] [--provenance]
+                [--metrics <FILE.json|FILE.csv>]
+  ocd solve     --instance <FILE> --objective <time|bandwidth> [--horizon <H>] [--threads <T>]
+                [--profile <FILE>]
+  ocd bounds    --instance <FILE>
+  ocd validate  --instance <FILE> --schedule <FILE>
+  ocd reduce-ds --graph <FILE> --k <K>
+  ocd compare   --instance <FILE> [--runs <N>] [--seed <S>]
+  ocd certify   --record <FILE>
+  ocd trace     analyze --record <FILE>
+  ocd trace     export  --record <FILE> [--format <chrome|json|csv>] [--spans] [--out <FILE>]
+  ocd bench     compare <OLD.json> <NEW.json> [--tolerance <T=0.15>]
+  ocd help
+";
+
+/// Parses a full argument vector (without the program name) into the
+/// job it asks for.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on any failure (I/O, malformed
-/// files, solver errors, unsatisfiable instances).
-pub fn execute(cmd: &Command) -> Result<String, String> {
-    match cmd {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::Generate {
-            topology,
-            nodes,
-            seed,
-            cap,
-            out,
-        } => {
-            if *nodes == 0 && matches!(topology.as_str(), "tree" | "star") {
-                return Err(format!("topology `{topology}` needs --nodes >= 1"));
-            }
-            if *nodes < 3 && topology == "cycle" {
-                return Err("topology `cycle` needs --nodes >= 3".to_string());
-            }
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let (lo, hi) = *cap;
-            let graph = match topology.as_str() {
-                "random" => gnp(
-                    &GnpConfig {
-                        capacity: lo..=hi,
-                        ..GnpConfig::paper(*nodes)
-                    },
-                    &mut rng,
-                ),
-                "transit-stub" => {
-                    let config = TransitStubConfig {
-                        transit_capacity: lo..=hi,
-                        stub_capacity: lo..=hi,
-                        ..TransitStubConfig::paper_sized(*nodes)
-                    };
-                    transit_stub(&config, &mut rng)
-                }
-                "path" => classic::path(*nodes, lo, true),
-                "cycle" => classic::cycle(*nodes, lo, true),
-                "star" => classic::star(*nodes, lo, true),
-                "complete" => classic::complete(*nodes, lo),
-                "grid" => {
-                    let side = (*nodes as f64).sqrt().ceil() as usize;
-                    classic::grid(side, side, lo)
-                }
-                "tree" => classic::balanced_tree(2, nodes.ilog2().max(1), lo),
-                other => return Err(format!("unknown topology `{other}`")),
-            };
-            emit(out.as_deref(), gio::to_edge_list(&graph))
+/// A usage message: an unknown subcommand, a missing, malformed,
+/// repeated or unknown flag.
+pub(crate) fn parse(args: &[String]) -> Result<Job, String> {
+    let Some((sub, rest)) = args.split_first() else {
+        return Err(USAGE.to_string());
+    };
+    // `ocd <sub> --help` prints usage instead of tripping over a flag
+    // that "requires a value".
+    if ["help", "--help", "-h"].contains(&sub.as_str())
+        || rest.iter().any(|a| a == "--help" || a == "-h")
+    {
+        return Ok(Box::new(|| Ok(USAGE.to_string())));
+    }
+    let find = |name: &str| COMMANDS.iter().find(|(known, _)| *known == name);
+    // A group (`trace`, `bench`) takes a mode word before its flags.
+    let modes: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|(name, _)| name.strip_prefix(sub.as_str())?.strip_prefix(' '))
+        .collect();
+    let modes = modes.join(" | ");
+    let (&(name, read), rest) = match (find(sub), rest.split_first()) {
+        (Some(command), _) => (command, rest),
+        (None, Some((mode, rest))) if !modes.is_empty() => {
+            let command = find(&format!("{sub} {mode}"))
+                .ok_or_else(|| format!("unknown {sub} mode `{mode}` (use {modes})"))?;
+            (command, rest)
         }
-        Command::Instance {
-            graph,
-            scenario,
-            tokens,
-            files,
-            source,
-            threshold,
-            seed,
-            out,
-        } => {
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let instance = match scenario.as_str() {
-                "figure-one" => ocd_core::scenario::figure_one(),
-                name => {
-                    let g = load_graph(graph)?;
-                    let vertices = g.node_count();
-                    let uses_source =
-                        matches!(name, "single-file" | "receiver-density" | "multi-file");
-                    if uses_source && *source >= vertices {
+        (None, None) if !modes.is_empty() => {
+            return Err(format!("{sub} requires a mode: {modes}\n\n{USAGE}"));
+        }
+        (None, _) => {
+            let mut subs: Vec<&str> = COMMANDS
+                .iter()
+                .map(|(name, _)| name.split_once(' ').map_or(*name, |(group, _)| group))
+                .collect();
+            subs.dedup();
+            return Err(format!(
+                "unknown subcommand `{sub}`\navailable subcommands: {}, help\n\n{USAGE}",
+                subs.join(", ")
+            ));
+        }
+    };
+    // `bench compare` alone takes positional arguments: two snapshot paths.
+    let mut flags = Flags::new(rest, name == "bench compare")?;
+    let job = read(&mut flags)?;
+    flags.finish(name)?;
+    Ok(job)
+}
+
+fn generate(f: &mut Flags) -> Result<Job, String> {
+    let topology = f.req("topology")?;
+    let nodes: usize = f.req("nodes")?.parse().map_err(|_| "invalid --nodes")?;
+    let seed = f.opt("seed", 0)?;
+    let (lo, hi) = parse_cap(&f.opt("cap", "3..15".to_string())?)?;
+    let out = f.value("out")?;
+    Ok(Box::new(move || {
+        if nodes == 0 && matches!(topology.as_str(), "tree" | "star") {
+            return Err(format!("topology `{topology}` needs --nodes >= 1"));
+        }
+        if nodes < 3 && topology == "cycle" {
+            return Err("topology `cycle` needs --nodes >= 3".to_string());
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = match topology.as_str() {
+            "random" => gnp(
+                &GnpConfig {
+                    capacity: lo..=hi,
+                    ..GnpConfig::paper(nodes)
+                },
+                &mut rng,
+            ),
+            "transit-stub" => {
+                let config = TransitStubConfig {
+                    transit_capacity: lo..=hi,
+                    stub_capacity: lo..=hi,
+                    ..TransitStubConfig::paper_sized(nodes)
+                };
+                transit_stub(&config, &mut rng)
+            }
+            "path" => classic::path(nodes, lo, true),
+            "cycle" => classic::cycle(nodes, lo, true),
+            "star" => classic::star(nodes, lo, true),
+            "complete" => classic::complete(nodes, lo),
+            "grid" => {
+                let side = (nodes as f64).sqrt().ceil() as usize;
+                classic::grid(side, side, lo)
+            }
+            "tree" => classic::balanced_tree(2, nodes.ilog2().max(1), lo),
+            other => return Err(format!("unknown topology `{other}`")),
+        };
+        emit(out.as_deref(), gio::to_edge_list(&graph))
+    }))
+}
+
+fn instance(f: &mut Flags) -> Result<Job, String> {
+    let graph = f.req("graph")?;
+    let scenario = f.req("scenario")?;
+    let tokens: usize = f.opt("tokens", 64)?;
+    let files: usize = f.opt("files", 1)?;
+    let source: usize = f.opt("source", 0)?;
+    let threshold: f64 = f.opt("threshold", 1.0)?;
+    let seed = f.opt("seed", 0)?;
+    let out = f.value("out")?;
+    Ok(Box::new(move || {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let instance = match scenario.as_str() {
+            "figure-one" => ocd_core::scenario::figure_one(),
+            name => {
+                let g = load_graph(&graph)?;
+                let vertices = g.node_count();
+                let uses_source = matches!(name, "single-file" | "receiver-density" | "multi-file");
+                if uses_source && source >= vertices {
+                    return Err(format!(
+                        "--source {source} out of range (graph has {vertices} vertices)"
+                    ));
+                }
+                if matches!(name, "multi-file" | "multi-sender") {
+                    if files == 0 {
+                        return Err("--files must be at least 1".to_string());
+                    }
+                    if !tokens.is_multiple_of(files) {
                         return Err(format!(
-                            "--source {source} out of range (graph has {vertices} vertices)"
+                            "--files {files} must evenly divide --tokens {tokens}"
                         ));
                     }
-                    if matches!(name, "multi-file" | "multi-sender") {
-                        if *files == 0 {
-                            return Err("--files must be at least 1".to_string());
-                        }
-                        if tokens % files != 0 {
-                            return Err(format!(
-                                "--files {files} must evenly divide --tokens {tokens}"
-                            ));
-                        }
-                        if *files > vertices {
-                            return Err(format!(
-                                "--files {files} exceeds the graph's {vertices} vertices"
-                            ));
-                        }
-                    }
-                    if name == "multi-sender" && *files == 1 {
-                        return Err("multi-sender needs --files >= 2: one file is wanted \
-                                    by every vertex, leaving none to source it"
-                            .to_string());
-                    }
-                    if name == "receiver-density" && !(0.0..=1.0).contains(threshold) {
-                        return Err(format!("--threshold must be in [0, 1], got {threshold}"));
-                    }
-                    match name {
-                        "single-file" => ocd_core::scenario::single_file(g, *tokens, *source),
-                        "receiver-density" => ocd_core::scenario::receiver_density(
-                            g, *tokens, *source, *threshold, &mut rng,
-                        ),
-                        "multi-file" => ocd_core::scenario::multi_file(g, *tokens, *files, *source),
-                        "multi-sender" => {
-                            ocd_core::scenario::multi_sender(g, *tokens, *files, &mut rng)
-                        }
-                        other => return Err(format!("unknown scenario `{other}`")),
-                    }
-                }
-            };
-            let json = serde_json::to_string_pretty(&instance)
-                .map_err(|e| format!("serialize instance: {e}"))?;
-            emit(out.as_deref(), json + "\n")
-        }
-        Command::Run {
-            instance,
-            strategy,
-            seed,
-            delay,
-            max_steps,
-            schedule,
-            prune: do_prune,
-            dynamics,
-            record,
-            metrics,
-        } => {
-            let instance = load_instance(instance)?;
-            let kind: StrategyKind = strategy.parse().map_err(|e| format!("{e}"))?;
-            let mut s = kind.build();
-            let config = SimConfig {
-                max_steps: *max_steps,
-                knowledge_delay: *delay,
-                // `--metrics` snapshots are derived from the run, so
-                // equal-seed invocations write byte-identical files.
-                metrics: metrics.is_some(),
-                // `--record` artifacts embed the causal provenance
-                // digest (RunRecord schema v3), which `certify`
-                // cross-checks against a schedule replay.
-                provenance: record.is_some(),
-            };
-            let mut rng = StdRng::seed_from_u64(*seed);
-            // Instances carrying node budgets run under the
-            // node-capacity medium automatically, so their `--record`
-            // artifacts certify against the budget-enforcing replay.
-            let budgets = instance.node_budgets().cloned();
-            let (outcome, medium_name) = match (dynamics, budgets) {
-                (None, None) => {
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut Ideal, &config, &mut rng);
-                    (outcome, "ideal".to_string())
-                }
-                (None, Some(b)) => {
-                    let mut medium = NodeCapacity::new(Ideal, b);
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
-                    (outcome, medium.name().to_string())
-                }
-                (Some(spec), None) => {
-                    let mut model = parse_dynamics(spec)?;
-                    let medium_name = model.name().to_string();
-                    let mut medium = Dynamic::new(model.as_mut());
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
-                    // Re-validate against the recorded capacity trace.
-                    ocd_core::validate::replay_with_capacities(
-                        &instance,
-                        &outcome.report.schedule,
-                        &outcome.capacity_trace,
-                    )
-                    .map_err(|e| format!("dynamic schedule failed validation: {e}"))?;
-                    (outcome, medium_name)
-                }
-                (Some(spec), Some(b)) => {
-                    let mut model = parse_dynamics(spec)?;
-                    let medium_name = format!("node-capacity({})", model.name());
-                    let mut medium = NodeCapacity::new(Dynamic::new(model.as_mut()), b);
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
-                    ocd_core::validate::replay_with_capacities(
-                        &instance,
-                        &outcome.report.schedule,
-                        &outcome.capacity_trace,
-                    )
-                    .map_err(|e| format!("dynamic schedule failed validation: {e}"))?;
-                    (outcome, medium_name)
-                }
-            };
-            let report = &outcome.report;
-            let mut out = String::new();
-            let _ = writeln!(out, "strategy:   {} ({})", kind.name(), s.tier());
-            if let Some(spec) = dynamics {
-                let _ = writeln!(out, "dynamics:   {spec}");
-            }
-            let _ = writeln!(out, "success:    {}", report.success);
-            let _ = writeln!(out, "moves:      {} timesteps", report.steps);
-            let _ = writeln!(out, "bandwidth:  {} token-transfers", report.bandwidth);
-            if let Some(mean) = report.mean_completion() {
-                let _ = writeln!(out, "mean completion step: {mean:.1}");
-            }
-            if *do_prune {
-                let (pruned, stats) = prune::prune(&instance, &report.schedule);
-                let _ = writeln!(
-                    out,
-                    "pruned bandwidth: {} ({} duplicate + {} unused moves removed)",
-                    pruned.bandwidth(),
-                    stats.duplicates_removed,
-                    stats.unused_removed
-                );
-            }
-            if let Some(path) = schedule {
-                let json = serde_json::to_string(&report.schedule)
-                    .map_err(|e| format!("serialize schedule: {e}"))?;
-                std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(out, "schedule written to {path}");
-            }
-            if let Some(path) = record {
-                let rec = outcome.to_record(&instance, kind.name(), &medium_name, *seed);
-                rec.write_json(path.as_ref())
-                    .map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(out, "run record written to {path}");
-            }
-            if let Some(path) = metrics {
-                let snap = outcome
-                    .metrics
-                    .as_ref()
-                    .expect("--metrics enables collection");
-                let rendered = if path.ends_with(".csv") {
-                    snap.to_csv()
-                } else {
-                    snap.to_json()
-                };
-                std::fs::write(path, rendered).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "metrics snapshot written to {path} ({} counters, {} histograms, {} series)",
-                    snap.counters.len(),
-                    snap.histograms.len(),
-                    snap.series.len()
-                );
-            }
-            Ok(out)
-        }
-        Command::Certify { record } => {
-            let rec = ocd_core::RunRecord::read_json(record.as_ref())
-                .map_err(|e| format!("read {record}: {e}"))?;
-            let replay = rec
-                .certify()
-                .map_err(|e| format!("{record}: certification FAILED: {e}"))?;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "{record}: certified (version {}, strategy {}, medium {}, {} steps, {} token-transfers, {})",
-                rec.version,
-                rec.strategy,
-                rec.medium,
-                rec.steps,
-                rec.bandwidth,
-                if replay.is_successful() {
-                    "every want satisfied"
-                } else {
-                    "incomplete"
-                }
-            );
-            let _ = writeln!(
-                out,
-                "metrics:    {}",
-                match &rec.metrics {
-                    Some(snap) => format!(
-                        "embedded ({} counters, {} histograms, {} series)",
-                        snap.counters.len(),
-                        snap.histograms.len(),
-                        snap.series.len()
-                    ),
-                    None => "none".to_string(),
-                }
-            );
-            let _ = writeln!(
-                out,
-                "provenance: {}",
-                match &rec.provenance {
-                    Some(digest) =>
-                        format!("embedded ({} first-acquisitions)", digest.entries.len()),
-                    None => "none".to_string(),
-                }
-            );
-            Ok(out)
-        }
-        Command::TraceAnalyze { record } => {
-            let (rec, trace) = load_certified_trace(record)?;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "record:     {record} (strategy {}, medium {}, seed {})",
-                rec.strategy, rec.medium, rec.seed
-            );
-            let _ = writeln!(
-                out,
-                "provenance: {}",
-                if rec.provenance.is_some() {
-                    "embedded digest"
-                } else {
-                    "derived from schedule replay"
-                }
-            );
-            out.push_str(&trace.analyze(&rec.instance).render(&rec.instance));
-            if let Some(budgets) = rec.instance.node_budgets() {
-                out.push_str(&render_uplink_utilization(
-                    &rec.instance,
-                    budgets,
-                    &rec.schedule,
-                ));
-            }
-            Ok(out)
-        }
-        Command::TraceExport {
-            record,
-            format,
-            spans,
-            out,
-        } => {
-            let (rec, trace) = load_certified_trace(record)?;
-            if rec.provenance.is_none() && !*spans {
-                // One-line notice on stderr so piped exports stay clean.
-                eprintln!(
-                    "note: {record} has no embedded provenance; \
-                     derived it from the certified schedule replay"
-                );
-            }
-            let rendered = if *spans {
-                // `--spans` switches the source from the provenance
-                // event stream to the schedule-derived span timeline.
-                let mut fr = FlightRecorder::logical();
-                record_schedule_spans(&rec, &mut fr);
-                match format.as_str() {
-                    "chrome" => fr.to_chrome_json("ocd trace export --spans"),
-                    "json" => fr.to_json(),
-                    "csv" => fr.to_csv(),
-                    other => {
+                    if files > vertices {
                         return Err(format!(
-                            "unknown trace format `{other}` — valid --format values are \
-                             chrome | json | csv (with or without --spans)"
-                        ))
+                            "--files {files} exceeds the graph's {vertices} vertices"
+                        ));
                     }
                 }
-            } else {
-                match format.as_str() {
-                    "chrome" => trace.to_chrome_json(&rec.instance),
-                    "json" => trace.to_json(),
-                    "csv" => trace.to_csv(),
-                    other => {
-                        return Err(format!(
-                            "unknown trace format `{other}` — valid --format values are \
-                             chrome | json | csv; add --spans for the schedule-derived \
-                             span timeline"
-                        ))
-                    }
+                if name == "multi-sender" && files == 1 {
+                    return Err("multi-sender needs --files >= 2: one file is wanted \
+                                by every vertex, leaving none to source it"
+                        .to_string());
                 }
-            };
-            emit(out.as_deref(), rendered)
-        }
-        Command::NetRun {
-            instance,
-            policy,
-            seed,
-            latency,
-            jitter,
-            loss,
-            control_latency,
-            control_loss,
-            max_ticks,
-            crash,
-            trace,
-            schedule,
-        } => {
-            let inst = load_instance(instance)?;
-            let policy: NetPolicy = policy.parse()?;
-            let config = NetConfig {
-                policy,
-                latency: *latency,
-                jitter: *jitter,
-                loss: *loss,
-                control_latency: *control_latency,
-                control_loss: *control_loss,
-                max_ticks: *max_ticks,
-                ..NetConfig::default()
-            };
-            config.validate()?;
-            let faults = match crash {
-                None => FaultPlan::none(),
-                Some((v, down, up)) => {
-                    if *v >= inst.num_vertices() {
-                        return Err(format!("--crash vertex {v} is out of range"));
-                    }
-                    FaultPlan::none().crash_between(inst.graph().node(*v), *down, *up)
+                if name == "receiver-density" && !(0.0..=1.0).contains(&threshold) {
+                    return Err(format!("--threshold must be in [0, 1], got {threshold}"));
                 }
-            };
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let report = run_swarm(&inst, &config, &faults, &mut rng);
+                match name {
+                    "single-file" => ocd_core::scenario::single_file(g, tokens, source),
+                    "receiver-density" => {
+                        ocd_core::scenario::receiver_density(g, tokens, source, threshold, &mut rng)
+                    }
+                    "multi-file" => ocd_core::scenario::multi_file(g, tokens, files, source),
+                    "multi-sender" => ocd_core::scenario::multi_sender(g, tokens, files, &mut rng),
+                    other => return Err(format!("unknown scenario `{other}`")),
+                }
+            }
+        };
+        let json = serde_json::to_string_pretty(&instance)
+            .map_err(|e| format!("serialize instance: {e}"))?;
+        emit(out.as_deref(), json + "\n")
+    }))
+}
 
-            let mut out = String::new();
-            let _ = writeln!(out, "policy:     {policy}");
-            let _ = writeln!(out, "success:    {}", report.success);
-            let _ = writeln!(out, "ticks:      {}", report.ticks);
-            let _ = writeln!(out, "makespan:   {} timesteps", report.makespan());
-            let _ = writeln!(out, "bandwidth:  {} token-transfers", report.bandwidth());
-            let _ = writeln!(
-                out,
-                "delivered:  {} ({} duplicate)",
-                report.tokens_delivered, report.duplicate_deliveries
-            );
-            let _ = writeln!(
-                out,
-                "lost:       {} (+{} dropped at crashed vertices)",
-                report.tokens_lost, report.tokens_dropped_crashed
-            );
-            let _ = writeln!(out, "retransmits: {}", report.retransmits);
-            let done: Vec<u64> = report.completion_ticks.iter().filter_map(|c| *c).collect();
-            if !done.is_empty() {
-                let mean = done.iter().sum::<u64>() as f64 / done.len() as f64;
-                let _ = writeln!(out, "mean completion tick: {mean:.1}");
+fn run(f: &mut Flags) -> Result<Job, String> {
+    let path = f.req("instance")?;
+    let strategy = f.req("strategy")?;
+    let seed = f.opt("seed", 0)?;
+    let delay = f.opt("delay", 0)?;
+    let max_steps = f.opt("max-steps", 10_000)?;
+    let schedule = f.value("schedule")?;
+    let do_prune = f.switch("prune")?;
+    let dynamics = f.value("dynamics")?;
+    let record = f.value("record")?;
+    let metrics = f.value("metrics")?;
+    let config = SimConfig {
+        max_steps,
+        knowledge_delay: delay,
+        // `--metrics` snapshots are derived from the run, so equal-seed
+        // invocations write byte-identical files.
+        metrics: metrics.is_some(),
+        // `--record` artifacts embed the causal provenance digest
+        // (RunRecord schema v3), which `certify` cross-checks against a
+        // schedule replay.
+        provenance: record.is_some(),
+    };
+    Ok(Box::new(move || {
+        let instance = load_instance(&path)?;
+        let kind: StrategyKind = strategy.parse().map_err(|e| format!("{e}"))?;
+        let mut s = kind.build();
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Instances carrying node budgets run under the node-capacity
+        // medium automatically, so their `--record` artifacts certify
+        // against the budget-enforcing replay.
+        let budgets = instance.node_budgets().cloned();
+        let (outcome, medium) = match (&dynamics, budgets) {
+            (None, None) => {
+                let outcome = simulate_with(&instance, s.as_mut(), &mut Ideal, &config, &mut rng);
+                (outcome, "ideal".to_string())
             }
-            // The extracted schedule must replay as legal §3.1 moves.
-            let replay = ocd_core::validate::replay(&inst, &report.schedule)
-                .map_err(|e| format!("extracted schedule failed validation: {e}"))?;
+            (None, Some(b)) => {
+                let mut medium = NodeCapacity::new(Ideal, b);
+                let outcome = simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
+                (outcome, "node-capacity".to_string())
+            }
+            (Some(spec), None) => {
+                let mut model = parse_dynamics(spec)?;
+                let name = model.name().to_string();
+                let mut medium = Dynamic::new(model.as_mut());
+                let outcome = simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
+                (outcome, name)
+            }
+            (Some(spec), Some(b)) => {
+                let mut model = parse_dynamics(spec)?;
+                let name = format!("node-capacity({})", model.name());
+                let mut medium = NodeCapacity::new(Dynamic::new(model.as_mut()), b);
+                let outcome = simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
+                (outcome, name)
+            }
+        };
+        let report = &outcome.report;
+        if dynamics.is_some() {
+            // Re-validate against the recorded capacity trace.
+            ocd_core::validate::replay_with_capacities(
+                &instance,
+                &report.schedule,
+                &outcome.capacity_trace,
+            )
+            .map_err(|e| format!("dynamic schedule failed validation: {e}"))?;
+        }
+        let mut out = String::new();
+        let _ = writeln!(out, "strategy:   {} ({})", kind.name(), s.tier());
+        if let Some(spec) = &dynamics {
+            let _ = writeln!(out, "dynamics:   {spec}");
+        }
+        let _ = writeln!(out, "success:    {}", report.success);
+        let _ = writeln!(out, "moves:      {} timesteps", report.steps);
+        let _ = writeln!(out, "bandwidth:  {} token-transfers", report.bandwidth);
+        if let Some(mean) = report.mean_completion() {
+            let _ = writeln!(out, "mean completion step: {mean:.1}");
+        }
+        if do_prune {
+            let (pruned, stats) = prune::prune(&instance, &report.schedule);
             let _ = writeln!(
                 out,
-                "schedule:   certified ({})",
-                if replay.is_successful() {
-                    "every want satisfied"
+                "pruned bandwidth: {} ({} duplicate + {} unused moves removed)",
+                pruned.bandwidth(),
+                stats.duplicates_removed,
+                stats.unused_removed
+            );
+        }
+        if let Some(path) = &schedule {
+            write_schedule(&mut out, path, &report.schedule)?;
+        }
+        if let Some(path) = &record {
+            let rec = outcome.to_record(&instance, kind.name(), &medium, seed);
+            rec.write_json(path.as_ref())
+                .map_err(|e| format!("write {path}: {e}"))?;
+            let _ = writeln!(out, "run record written to {path}");
+        }
+        if let Some(path) = &metrics {
+            write_metrics(&mut out, path, outcome.metrics.as_ref())?;
+        }
+        Ok(out)
+    }))
+}
+
+fn net_run(f: &mut Flags) -> Result<Job, String> {
+    let path = f.req("instance")?;
+    let policy = f.opt("policy", "random".to_string())?;
+    let seed = f.opt("seed", 0)?;
+    let mut config = NetConfig {
+        latency: f.opt("latency", 1)?,
+        jitter: f.opt("jitter", 0)?,
+        loss: f.opt("loss", 0.0)?,
+        control_latency: f.opt("control-latency", 0)?,
+        control_loss: f.opt("control-loss", 0.0)?,
+        max_ticks: f.opt("max-ticks", 100_000)?,
+        ..NetConfig::default()
+    };
+    let crash = f.value("crash")?.map(|raw| parse_crash(&raw)).transpose()?;
+    let trace = f.value("trace")?;
+    let schedule = f.value("schedule")?;
+    Ok(Box::new(move || {
+        let inst = load_instance(&path)?;
+        config.policy = policy.parse()?;
+        config.validate()?;
+        let faults = match crash {
+            None => FaultPlan::none(),
+            Some((v, down, up)) => {
+                if v >= inst.num_vertices() {
+                    return Err(format!("--crash vertex {v} is out of range"));
+                }
+                FaultPlan::none().crash_between(inst.graph().node(v), down, up)
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let report = run_swarm(&inst, &config, &faults, &mut rng);
+
+        let mut out = String::new();
+        let _ = writeln!(out, "policy:     {}", config.policy);
+        let _ = writeln!(out, "success:    {}", report.success);
+        let _ = writeln!(out, "ticks:      {}", report.ticks);
+        let _ = writeln!(out, "makespan:   {} timesteps", report.makespan());
+        let _ = writeln!(out, "bandwidth:  {} token-transfers", report.bandwidth());
+        let _ = writeln!(
+            out,
+            "delivered:  {} ({} duplicate)",
+            report.tokens_delivered, report.duplicate_deliveries
+        );
+        let _ = writeln!(
+            out,
+            "lost:       {} (+{} dropped at crashed vertices)",
+            report.tokens_lost, report.tokens_dropped_crashed
+        );
+        let _ = writeln!(out, "retransmits: {}", report.retransmits);
+        let done: Vec<u64> = report.completion_ticks.iter().filter_map(|c| *c).collect();
+        if !done.is_empty() {
+            let mean = done.iter().sum::<u64>() as f64 / done.len() as f64;
+            let _ = writeln!(out, "mean completion tick: {mean:.1}");
+        }
+        // The extracted schedule must replay as legal §3.1 moves.
+        let replay = ocd_core::validate::replay(&inst, &report.schedule)
+            .map_err(|e| format!("extracted schedule failed validation: {e}"))?;
+        let _ = writeln!(
+            out,
+            "schedule:   certified ({})",
+            wants_met(replay.is_successful())
+        );
+        let (events, truncated) = (&report.trace, report.trace.truncated());
+        if truncated {
+            let _ = writeln!(
+                out,
+                "warning: event trace ring buffer wrapped; {} oldest events dropped",
+                events.events_dropped()
+            );
+        }
+        if let Some(path) = &trace {
+            write_csv_or_json(path, || events.to_csv(), || events.to_json())?;
+            let evicted = if truncated { ", oldest evicted" } else { "" };
+            let _ = writeln!(
+                out,
+                "trace written to {path} ({} events{evicted})",
+                events.len()
+            );
+        }
+        if let Some(path) = &schedule {
+            write_schedule(&mut out, path, &report.schedule)?;
+        }
+        Ok(out)
+    }))
+}
+
+fn coded(f: &mut Flags) -> Result<Job, String> {
+    let graph = f.req("graph")?;
+    let strategy = f.opt("strategy", "random".to_string())?;
+    let tokens: usize = f.opt("tokens", 16)?;
+    let payload: usize = f.opt("payload", 64)?;
+    let source: usize = f.opt("source", 0)?;
+    let redundancy: f64 = f.opt("redundancy", 1.0)?;
+    let loss: f64 = f.opt("loss", 0.0)?;
+    let seed = f.opt("seed", 0)?;
+    let max_steps = f.opt("max-steps", 10_000)?;
+    let provenance = f.switch("provenance")?;
+    let metrics = f.value("metrics")?;
+    // Like `ocd run --metrics`: the coded recorder only books
+    // deterministic counters, so equal seeds produce byte-identical
+    // snapshots.
+    let config = CodedSimConfig {
+        max_steps,
+        metrics: metrics.is_some(),
+        provenance,
+    };
+    Ok(Box::new(move || {
+        let g = load_graph(&graph)?;
+        if source >= g.node_count() {
+            return Err(format!(
+                "source vertex {source} out of range (graph has {} vertices)",
+                g.node_count()
+            ));
+        }
+        if tokens == 0 {
+            return Err("--tokens must be at least 1".to_string());
+        }
+        if !(0.0..1.0).contains(&loss) {
+            return Err(format!("loss must be in [0, 1), got {loss}"));
+        }
+        if redundancy.is_nan() || redundancy < 1.0 {
+            return Err(format!("redundancy must be >= 1, got {redundancy}"));
+        }
+        let inst = RlncInstance::single_source(g, tokens, payload, source);
+        let mut strat: Box<dyn CodedStrategy> = match strategy.as_str() {
+            "random" | "rnd" => Box::new(CodedRandom::new(redundancy)),
+            "local" | "rarest" => Box::new(CodedLocal::new(redundancy)),
+            other => {
+                return Err(format!(
+                    "unknown coded strategy `{other}` (use random | local)"
+                ))
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let outcome = if loss > 0.0 {
+            let mut medium = LossyCoded::new(loss);
+            simulate_coded_with(&inst, strat.as_mut(), &mut medium, &config, &mut rng)
+        } else {
+            simulate_coded(&inst, strat.as_mut(), &config, &mut rng)
+        };
+        let r = &outcome.report;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "coded run: {} over GF(2^8), k = {}, payload = {} B, packet = {} B",
+            strat.name(),
+            inst.generation(),
+            inst.payload_len(),
+            inst.packet_bytes()
+        );
+        let _ = writeln!(
+            out,
+            "result: {} in {} steps",
+            if r.success { "complete" } else { "INCOMPLETE" },
+            r.steps
+        );
+        let _ = writeln!(
+            out,
+            "packets: {} sent ({} innovative, {} redundant, {} lost), {} bytes on the wire",
+            r.packets_sent,
+            r.innovative_deliveries,
+            r.redundant_deliveries,
+            r.packets_lost,
+            r.bytes_sent
+        );
+        if r.success {
+            let _ = writeln!(
+                out,
+                "decode: {}",
+                if r.decode_ok {
+                    "every receiver reproduced the generation byte-for-byte"
                 } else {
-                    "incomplete"
+                    "FAILED (field arithmetic is inconsistent)"
                 }
             );
-            if report.trace.truncated() {
-                let _ = writeln!(
-                    out,
-                    "warning: event trace ring buffer wrapped; {} oldest events dropped",
-                    report.trace.events_dropped()
-                );
-            }
-            if let Some(path) = trace {
-                let rendered = if path.ends_with(".csv") {
-                    report.trace.to_csv()
-                } else {
-                    report.trace.to_json()
-                };
-                std::fs::write(path, rendered).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "trace written to {path} ({} events{})",
-                    report.trace.len(),
-                    if report.trace.truncated() {
-                        ", oldest evicted"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            if let Some(path) = schedule {
-                let json = serde_json::to_string(&report.schedule)
-                    .map_err(|e| format!("serialize schedule: {e}"))?;
-                std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(out, "schedule written to {path}");
-            }
-            Ok(out)
         }
-        Command::Coded {
-            graph,
-            strategy,
-            tokens,
-            payload,
-            source,
-            redundancy,
-            loss,
-            seed,
-            max_steps,
-            provenance,
-            metrics,
-        } => {
-            let g = load_graph(graph)?;
-            if *source >= g.node_count() {
-                return Err(format!(
-                    "source vertex {source} out of range (graph has {} vertices)",
-                    g.node_count()
-                ));
+        if let Some(trace) = &outcome.provenance {
+            // Slot-indexed coded provenance: token r of the slot
+            // instance is the r-th innovative packet a vertex absorbed,
+            // so the standard critical-path/bottleneck analysis applies
+            // unchanged.
+            let slots = inst.slot_instance();
+            let analysis = trace.analyze(&slots);
+            let _ = writeln!(out);
+            let _ = write!(out, "{}", analysis.render(&slots));
+            let _ = writeln!(out, "decoded-generation lineage (contributing arcs):");
+            for v in inst.graph().nodes().filter(|&v| inst.is_receiver(v)) {
+                let arcs = trace.contributing_arcs(v);
+                let rendered = arcs
+                    .iter()
+                    .map(|&e| {
+                        let arc = inst.graph().edge(e);
+                        format!("{}->{}", arc.src, arc.dst)
+                    })
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                let _ = writeln!(out, "  vertex {v}: {} arcs {{{rendered}}}", arcs.len());
             }
-            if *tokens == 0 {
-                return Err("--tokens must be at least 1".to_string());
+        }
+        if let Some(path) = &metrics {
+            write_metrics(&mut out, path, outcome.metrics.as_ref())?;
+        }
+        Ok(out)
+    }))
+}
+
+fn solve(f: &mut Flags) -> Result<Job, String> {
+    let path = f.req("instance")?;
+    let objective = f.req("objective")?;
+    let horizon: usize = f.opt("horizon", 0)?;
+    let mip = MipOptions {
+        threads: f.opt("threads", 1usize)?.max(1),
+        ..MipOptions::default()
+    };
+    let profile = f.value("profile")?;
+    Ok(Box::new(move || {
+        let inst = load_instance(&path)?;
+        // The flight recorder stamps spans with the logical sequence
+        // clock only, and the span stream is emitted by the
+        // deterministic sequential part of the search, so equal inputs
+        // give byte-identical profiles at any --threads. Recording
+        // unconditionally keeps one code path; the cost is nanoseconds
+        // per search node.
+        let mut flight = FlightRecorder::logical();
+        let mut out = String::new();
+        match objective.as_str() {
+            "time" => {
+                let r = solve_focd_with_spans(&inst, &BnbOptions::default(), &mut flight)
+                    .map_err(|e| format!("FOCD: {e}"))?;
+                let _ = writeln!(out, "optimal makespan: {} timesteps", r.makespan);
+                let _ = writeln!(out, "witness bandwidth: {}", r.schedule.bandwidth());
+                let _ = writeln!(out, "search nodes: {}", r.nodes);
+                let _ = write!(out, "{}", r.schedule);
             }
-            if !(0.0..1.0).contains(loss) {
-                return Err(format!("loss must be in [0, 1), got {loss}"));
+            "bandwidth" => {
+                let h = if horizon == 0 {
+                    // Auto horizon: fastest completion plus slack.
+                    let fast = solve_focd_with_spans(&inst, &BnbOptions::default(), &mut flight)
+                        .map_err(|e| format!("FOCD for auto-horizon: {e}"))?;
+                    fast.makespan + 3
+                } else {
+                    horizon
+                };
+                let r = min_bandwidth_for_horizon_with_spans(&inst, h, &mip, &mut flight)
+                    .map_err(|e| format!("EOCD IP: {e}"))?
+                    .ok_or(format!("no successful schedule within {h} timesteps"))?;
+                let _ = writeln!(out, "optimal bandwidth within {h} steps: {}", r.bandwidth);
+                let _ = writeln!(out, "MILP nodes: {}", r.mip_nodes);
+                let _ = write!(out, "{}", r.schedule);
             }
-            if redundancy.is_nan() || *redundancy < 1.0 {
-                return Err(format!("redundancy must be >= 1, got {redundancy}"));
+            other => return Err(format!("unknown objective `{other}` (use time|bandwidth)")),
+        }
+        if let Some(path) = &profile {
+            write_file(path, &flight.to_chrome_json("ocd solve"))?;
+            let _ = writeln!(
+                out,
+                "search profile written to {path} ({} spans, {} incumbent events)",
+                flight.spans().len(),
+                flight.events().len()
+            );
+        }
+        Ok(out)
+    }))
+}
+
+fn bounds(f: &mut Flags) -> Result<Job, String> {
+    let path = f.req("instance")?;
+    Ok(Box::new(move || {
+        let inst = load_instance(&path)?;
+        let mut out = String::new();
+        let _ = writeln!(out, "{:?}", inst.stats());
+        let _ = writeln!(out, "satisfiable:           {}", inst.is_satisfiable());
+        let _ = writeln!(
+            out,
+            "bandwidth lower bound: {}",
+            bounds::bandwidth_lower_bound(&inst)
+        );
+        let ms = bounds::makespan_lower_bound(&inst);
+        if ms == usize::MAX {
+            let _ = writeln!(out, "makespan lower bound:  unbounded (unsatisfiable)");
+        } else {
+            let _ = writeln!(out, "makespan lower bound:  {ms}");
+        }
+        let _ = match steiner::bandwidth_upper_bound(&inst) {
+            Ok(ub) => writeln!(out, "Steiner upper bound:   {ub}"),
+            Err(e) => writeln!(out, "Steiner upper bound:   n/a ({e})"),
+        };
+        Ok(out)
+    }))
+}
+
+fn validate(f: &mut Flags) -> Result<Job, String> {
+    let path = f.req("instance")?;
+    let schedule = f.req("schedule")?;
+    Ok(Box::new(move || {
+        let inst = load_instance(&path)?;
+        let text =
+            std::fs::read_to_string(&schedule).map_err(|e| format!("read {schedule}: {e}"))?;
+        let sched: Schedule =
+            serde_json::from_str(&text).map_err(|e| format!("parse {schedule}: {e}"))?;
+        let replay = ocd_core::validate::replay(&inst, &sched)
+            .map_err(|e| format!("invalid schedule: {e}"))?;
+        let mut out = String::new();
+        let _ = writeln!(out, "valid:     yes");
+        let _ = writeln!(out, "makespan:  {}", sched.makespan());
+        let _ = writeln!(out, "bandwidth: {}", sched.bandwidth());
+        if replay.is_successful() {
+            let _ = writeln!(out, "successful: every want satisfied");
+        } else {
+            let _ = writeln!(out, "successful: NO");
+            for (v, missing) in replay.unsatisfied() {
+                let _ = writeln!(out, "  vertex {v} still missing {missing:?}");
             }
-            let inst = RlncInstance::single_source(g, *tokens, *payload, *source);
-            let mut strat: Box<dyn CodedStrategy> = match strategy.as_str() {
-                "random" | "rnd" => Box::new(CodedRandom::new(*redundancy)),
-                "local" | "rarest" => Box::new(CodedLocal::new(*redundancy)),
+        }
+        Ok(out)
+    }))
+}
+
+fn reduce_ds(f: &mut Flags) -> Result<Job, String> {
+    let graph = f.req("graph")?;
+    let k: usize = f.req("k")?.parse().map_err(|_| "invalid --k")?;
+    Ok(Box::new(move || {
+        let g = load_graph(&graph)?;
+        let (instance, layout) = focd_from_dominating_set(&g, k);
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "reduced FOCD instance: {} vertices, {} tokens",
+            instance.num_vertices(),
+            instance.num_tokens()
+        );
+        let schedule = decide_focd(&instance, 2, &BnbOptions::default())
+            .map_err(|e| format!("decision search: {e}"))?;
+        match schedule {
+            Some(s) => {
+                let ds = dominating_set_from_schedule(&layout, &instance, &s);
+                let _ = writeln!(out, "2-step schedule exists → dominating set of size ≤ {k}");
+                let witness: Vec<String> = ds.iter().map(ToString::to_string).collect();
+                let _ = writeln!(out, "witness: {{{}}}", witness.join(", "));
+                debug_assert!(algo::is_dominating_set(&g, &ds));
+            }
+            None => {
+                let _ = writeln!(out, "no 2-step schedule → no dominating set of size ≤ {k}");
+            }
+        }
+        Ok(out)
+    }))
+}
+
+fn compare(f: &mut Flags) -> Result<Job, String> {
+    let path = f.req("instance")?;
+    let runs: usize = f.opt("runs", 3)?;
+    let seed: u64 = f.opt("seed", 0)?;
+    Ok(Box::new(move || {
+        if runs == 0 {
+            return Err("--runs must be at least 1".to_string());
+        }
+        let inst = load_instance(&path)?;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:>16}  {:>7}  {:>12}  {:>10}",
+            "strategy", "moves", "bandwidth", "pruned_bw"
+        );
+        for kind in StrategyKind::paper_five() {
+            let mut moves = Vec::new();
+            let mut bw = Vec::new();
+            let mut pruned_bw = Vec::new();
+            for r in 0..runs {
+                let mut s = kind.build();
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
+                let report = simulate(&inst, s.as_mut(), &SimConfig::default(), &mut rng);
+                if !report.success {
+                    return Err(format!("{kind} failed within the step cap"));
+                }
+                moves.push(report.steps as f64);
+                bw.push(report.bandwidth as f64);
+                let (p, _) = prune::prune(&inst, &report.schedule);
+                pruned_bw.push(p.bandwidth() as f64);
+            }
+            let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+            let _ = writeln!(
+                out,
+                "{:>16}  {:>7.1}  {:>12.1}  {:>10.1}",
+                kind.name(),
+                mean(&moves),
+                mean(&bw),
+                mean(&pruned_bw)
+            );
+        }
+        let _ = writeln!(
+            out,
+            "{:>16}  {:>7}  {:>12}  {:>10}",
+            "lower bounds",
+            bounds::makespan_lower_bound(&inst),
+            bounds::bandwidth_lower_bound(&inst),
+            "-"
+        );
+        Ok(out)
+    }))
+}
+
+fn certify(f: &mut Flags) -> Result<Job, String> {
+    let record = f.req("record")?;
+    Ok(Box::new(move || {
+        let rec = ocd_core::RunRecord::read_json(record.as_ref())
+            .map_err(|e| format!("read {record}: {e}"))?;
+        let replay = rec
+            .certify()
+            .map_err(|e| format!("{record}: certification FAILED: {e}"))?;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{record}: certified (version {}, strategy {}, medium {}, {} steps, {} token-transfers, {})",
+            rec.version,
+            rec.strategy,
+            rec.medium,
+            rec.steps,
+            rec.bandwidth,
+            wants_met(replay.is_successful())
+        );
+        let metrics = rec
+            .metrics
+            .as_ref()
+            .map(|snap| format!("embedded ({})", shape(snap)));
+        let _ = writeln!(out, "metrics:    {}", metrics.as_deref().unwrap_or("none"));
+        let provenance = (rec.provenance.as_ref())
+            .map(|digest| format!("embedded ({} first-acquisitions)", digest.entries.len()));
+        let _ = writeln!(
+            out,
+            "provenance: {}",
+            provenance.as_deref().unwrap_or("none")
+        );
+        Ok(out)
+    }))
+}
+
+fn trace_analyze(f: &mut Flags) -> Result<Job, String> {
+    let record = f.req("record")?;
+    Ok(Box::new(move || {
+        let (rec, trace) = load_certified_trace(&record)?;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "record:     {record} (strategy {}, medium {}, seed {})",
+            rec.strategy, rec.medium, rec.seed
+        );
+        let _ = writeln!(
+            out,
+            "provenance: {}",
+            if rec.provenance.is_some() {
+                "embedded digest"
+            } else {
+                "derived from schedule replay"
+            }
+        );
+        out.push_str(&trace.analyze(&rec.instance).render(&rec.instance));
+        if let Some(budgets) = rec.instance.node_budgets() {
+            out.push_str(&render_uplink_utilization(
+                &rec.instance,
+                budgets,
+                &rec.schedule,
+            ));
+        }
+        Ok(out)
+    }))
+}
+
+fn trace_export(f: &mut Flags) -> Result<Job, String> {
+    let record = f.req("record")?;
+    let format = f.opt("format", "chrome".to_string())?;
+    let spans = f.switch("spans")?;
+    let out = f.value("out")?;
+    Ok(Box::new(move || {
+        let (rec, trace) = load_certified_trace(&record)?;
+        if rec.provenance.is_none() && !spans {
+            // One-line notice on stderr so piped exports stay clean.
+            eprintln!(
+                "note: {record} has no embedded provenance; \
+                 derived it from the certified schedule replay"
+            );
+        }
+        let rendered = if spans {
+            // `--spans` switches the source from the provenance event
+            // stream to the schedule-derived span timeline.
+            let mut fr = FlightRecorder::logical();
+            record_schedule_spans(&rec, &mut fr);
+            match format.as_str() {
+                "chrome" => fr.to_chrome_json("ocd trace export --spans"),
+                "json" => fr.to_json(),
+                "csv" => fr.to_csv(),
                 other => {
                     return Err(format!(
-                        "unknown coded strategy `{other}` (use random | local)"
+                        "unknown trace format `{other}` — valid --format values are \
+                         chrome | json | csv (with or without --spans)"
                     ))
                 }
-            };
-            let config = CodedSimConfig {
-                max_steps: *max_steps,
-                // Like `ocd run --metrics`: the coded recorder only
-                // books deterministic counters, so equal seeds produce
-                // byte-identical snapshots.
-                metrics: metrics.is_some(),
-                provenance: *provenance,
-            };
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let outcome = if *loss > 0.0 {
-                ocd_heuristics::simulate_coded_with(
-                    &inst,
-                    strat.as_mut(),
-                    &mut LossyCoded::new(*loss),
-                    &config,
-                    &mut rng,
-                )
-            } else {
-                ocd_heuristics::simulate_coded(&inst, strat.as_mut(), &config, &mut rng)
-            };
-            let r = &outcome.report;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "coded run: {} over GF(2^8), k = {}, payload = {} B, packet = {} B",
-                strat.name(),
-                inst.generation(),
-                inst.payload_len(),
-                inst.packet_bytes()
-            );
-            let _ = writeln!(
-                out,
-                "result: {} in {} steps",
-                if r.success { "complete" } else { "INCOMPLETE" },
-                r.steps
-            );
-            let _ = writeln!(
-                out,
-                "packets: {} sent ({} innovative, {} redundant, {} lost), {} bytes on the wire",
-                r.packets_sent,
-                r.innovative_deliveries,
-                r.redundant_deliveries,
-                r.packets_lost,
-                r.bytes_sent
-            );
-            if r.success {
-                let _ = writeln!(
-                    out,
-                    "decode: {}",
-                    if r.decode_ok {
-                        "every receiver reproduced the generation byte-for-byte"
-                    } else {
-                        "FAILED (field arithmetic is inconsistent)"
-                    }
-                );
             }
-            if let Some(trace) = &outcome.provenance {
-                // Slot-indexed coded provenance: token r of the slot
-                // instance is the r-th innovative packet a vertex
-                // absorbed, so the standard critical-path/bottleneck
-                // analysis applies unchanged.
-                let slots = inst.slot_instance();
-                let analysis = trace.analyze(&slots);
-                let _ = writeln!(out);
-                let _ = write!(out, "{}", analysis.render(&slots));
-                let _ = writeln!(out, "decoded-generation lineage (contributing arcs):");
-                for v in inst.graph().nodes() {
-                    if !inst.is_receiver(v) {
-                        continue;
-                    }
-                    let arcs = trace.contributing_arcs(v);
-                    let rendered = arcs
-                        .iter()
-                        .map(|&e| {
-                            let arc = inst.graph().edge(e);
-                            format!("{}->{}", arc.src, arc.dst)
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    let _ = writeln!(out, "  vertex {v}: {} arcs {{{rendered}}}", arcs.len());
+        } else {
+            match format.as_str() {
+                "chrome" => trace.to_chrome_json(&rec.instance),
+                "json" => trace.to_json(),
+                "csv" => trace.to_csv(),
+                other => {
+                    return Err(format!(
+                        "unknown trace format `{other}` — valid --format values are \
+                         chrome | json | csv; add --spans for the schedule-derived \
+                         span timeline"
+                    ))
                 }
             }
-            if let Some(path) = metrics {
-                let snap = outcome
-                    .metrics
-                    .as_ref()
-                    .expect("--metrics enables collection");
-                let rendered = if path.ends_with(".csv") {
-                    snap.to_csv()
-                } else {
-                    snap.to_json()
-                };
-                std::fs::write(path, rendered).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "metrics snapshot written to {path} ({} counters, {} histograms, {} series)",
-                    snap.counters.len(),
-                    snap.histograms.len(),
-                    snap.series.len()
-                );
-            }
-            Ok(out)
+        };
+        emit(out.as_deref(), rendered)
+    }))
+}
+
+fn bench_compare(f: &mut Flags) -> Result<Job, String> {
+    let tolerance: f64 = f.opt("tolerance", 0.15)?;
+    let [old, new] = <[String; 2]>::try_from(f.positional().to_vec()).map_err(|paths| {
+        format!(
+            "bench compare takes exactly two snapshot paths \
+             (<old.json> <new.json>), got {}",
+            paths.len()
+        )
+    })?;
+    Ok(Box::new(move || {
+        let (table, regressed) = ocd_bench::compare::compare_files(&old, &new, tolerance)?;
+        if regressed {
+            // Nonzero exit: the table rides in the error message.
+            return Err(format!("performance regression detected\n{table}"));
         }
-        Command::Solve {
-            instance,
-            objective,
-            horizon,
-            threads,
-            profile,
-        } => {
-            let inst = load_instance(instance)?;
-            let mip = MipOptions {
-                threads: (*threads).max(1),
-                ..MipOptions::default()
-            };
-            // The flight recorder stamps spans with the logical
-            // sequence clock only, and the span stream is emitted by
-            // the deterministic sequential part of the search, so
-            // equal inputs give byte-identical profiles at any
-            // --threads. Recording unconditionally keeps one code
-            // path; the cost is nanoseconds per search node.
-            let mut flight = FlightRecorder::logical();
-            let mut out = String::new();
-            match objective.as_str() {
-                "time" => {
-                    let r = solve_focd_with_spans(&inst, &BnbOptions::default(), &mut flight)
-                        .map_err(|e| format!("FOCD: {e}"))?;
-                    let _ = writeln!(out, "optimal makespan: {} timesteps", r.makespan);
-                    let _ = writeln!(out, "witness bandwidth: {}", r.schedule.bandwidth());
-                    let _ = writeln!(out, "search nodes: {}", r.nodes);
-                    let _ = write!(out, "{}", r.schedule);
-                }
-                "bandwidth" => {
-                    let h = if *horizon == 0 {
-                        // Auto horizon: fastest completion plus slack.
-                        let fast =
-                            solve_focd_with_spans(&inst, &BnbOptions::default(), &mut flight)
-                                .map_err(|e| format!("FOCD for auto-horizon: {e}"))?;
-                        fast.makespan + 3
-                    } else {
-                        *horizon
-                    };
-                    let r = min_bandwidth_for_horizon_with_spans(&inst, h, &mip, &mut flight)
-                        .map_err(|e| format!("EOCD IP: {e}"))?
-                        .ok_or(format!("no successful schedule within {h} timesteps"))?;
-                    let _ = writeln!(out, "optimal bandwidth within {h} steps: {}", r.bandwidth);
-                    let _ = writeln!(out, "MILP nodes: {}", r.mip_nodes);
-                    let _ = write!(out, "{}", r.schedule);
-                }
-                other => return Err(format!("unknown objective `{other}` (use time|bandwidth)")),
-            }
-            if let Some(path) = profile {
-                let json = flight.to_chrome_json("ocd solve");
-                std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "search profile written to {path} ({} spans, {} incumbent events)",
-                    flight.spans().len(),
-                    flight.events().len()
-                );
-            }
-            Ok(out)
-        }
-        Command::BenchCompare {
-            old,
-            new,
-            tolerance,
-        } => {
-            let (table, regressed) = ocd_bench::compare::compare_files(old, new, *tolerance)?;
-            if regressed {
-                // Nonzero exit: the table rides in the error message.
-                return Err(format!("performance regression detected\n{table}"));
-            }
-            Ok(table)
-        }
-        Command::Bounds { instance } => {
-            let inst = load_instance(instance)?;
-            let mut out = String::new();
-            let _ = writeln!(out, "{:?}", inst.stats());
-            let _ = writeln!(out, "satisfiable:           {}", inst.is_satisfiable());
-            let _ = writeln!(
-                out,
-                "bandwidth lower bound: {}",
-                bounds::bandwidth_lower_bound(&inst)
-            );
-            let ms = bounds::makespan_lower_bound(&inst);
-            if ms == usize::MAX {
-                let _ = writeln!(out, "makespan lower bound:  unbounded (unsatisfiable)");
-            } else {
-                let _ = writeln!(out, "makespan lower bound:  {ms}");
-            }
-            match steiner::bandwidth_upper_bound(&inst) {
-                Ok(ub) => {
-                    let _ = writeln!(out, "Steiner upper bound:   {ub}");
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "Steiner upper bound:   n/a ({e})");
-                }
-            }
-            Ok(out)
-        }
-        Command::Validate { instance, schedule } => {
-            let inst = load_instance(instance)?;
-            let text =
-                std::fs::read_to_string(schedule).map_err(|e| format!("read {schedule}: {e}"))?;
-            let sched: Schedule =
-                serde_json::from_str(&text).map_err(|e| format!("parse {schedule}: {e}"))?;
-            let replay = ocd_core::validate::replay(&inst, &sched)
-                .map_err(|e| format!("invalid schedule: {e}"))?;
-            let mut out = String::new();
-            let _ = writeln!(out, "valid:     yes");
-            let _ = writeln!(out, "makespan:  {}", sched.makespan());
-            let _ = writeln!(out, "bandwidth: {}", sched.bandwidth());
-            if replay.is_successful() {
-                let _ = writeln!(out, "successful: every want satisfied");
-            } else {
-                let _ = writeln!(out, "successful: NO");
-                for (v, missing) in replay.unsatisfied() {
-                    let _ = writeln!(out, "  vertex {v} still missing {missing:?}");
-                }
-            }
-            Ok(out)
-        }
-        Command::ReduceDs { graph, k } => {
-            let g = load_graph(graph)?;
-            let (instance, layout) = focd_from_dominating_set(&g, *k);
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "reduced FOCD instance: {} vertices, {} tokens",
-                instance.num_vertices(),
-                instance.num_tokens()
-            );
-            let schedule = decide_focd(&instance, 2, &BnbOptions::default())
-                .map_err(|e| format!("decision search: {e}"))?;
-            match schedule {
-                Some(s) => {
-                    let ds = dominating_set_from_schedule(&layout, &instance, &s);
-                    let _ = writeln!(out, "2-step schedule exists → dominating set of size ≤ {k}");
-                    let _ = writeln!(
-                        out,
-                        "witness: {{{}}}",
-                        ds.iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    debug_assert!(algo::is_dominating_set(&g, &ds));
-                }
-                None => {
-                    let _ = writeln!(out, "no 2-step schedule → no dominating set of size ≤ {k}");
-                }
-            }
-            Ok(out)
-        }
-        Command::Compare {
-            instance,
-            runs,
-            seed,
-        } => {
-            let inst = load_instance(instance)?;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "{:>16}  {:>7}  {:>12}  {:>10}",
-                "strategy", "moves", "bandwidth", "pruned_bw"
-            );
-            for kind in StrategyKind::paper_five() {
-                let mut moves = Vec::new();
-                let mut bw = Vec::new();
-                let mut pruned_bw = Vec::new();
-                for r in 0..*runs {
-                    let mut s = kind.build();
-                    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(r as u64));
-                    let report = simulate(&inst, s.as_mut(), &SimConfig::default(), &mut rng);
-                    if !report.success {
-                        return Err(format!("{kind} failed within the step cap"));
-                    }
-                    moves.push(report.steps as f64);
-                    bw.push(report.bandwidth as f64);
-                    let (p, _) = prune::prune(&inst, &report.schedule);
-                    pruned_bw.push(p.bandwidth() as f64);
-                }
-                let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-                let _ = writeln!(
-                    out,
-                    "{:>16}  {:>7.1}  {:>12.1}  {:>10.1}",
-                    kind.name(),
-                    mean(&moves),
-                    mean(&bw),
-                    mean(&pruned_bw)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{:>16}  {:>7}  {:>12}  {:>10}",
-                "lower bounds",
-                bounds::makespan_lower_bound(&inst),
-                bounds::bandwidth_lower_bound(&inst),
-                "-"
-            );
-            Ok(out)
-        }
+        Ok(table)
+    }))
+}
+
+fn parse_cap(raw: &str) -> Result<(u32, u32), String> {
+    let (lo, hi) = raw
+        .split_once("..")
+        .ok_or_else(|| format!("capacity range `{raw}` must look like LO..HI"))?;
+    let lo: u32 = lo.parse().map_err(|_| format!("invalid capacity `{lo}`"))?;
+    let hi: u32 = hi.parse().map_err(|_| format!("invalid capacity `{hi}`"))?;
+    if lo == 0 || hi < lo {
+        return Err(format!("capacity range {lo}..{hi} is empty or zero"));
     }
+    Ok((lo, hi))
+}
+
+fn parse_crash(raw: &str) -> Result<(usize, u64, u64), String> {
+    let parts: Vec<&str> = raw.split(':').collect();
+    let [v, down, up] = parts.as_slice() else {
+        return Err(format!("crash spec `{raw}` must look like V:DOWN:UP"));
+    };
+    let v = v.parse().map_err(|_| format!("invalid vertex `{v}`"))?;
+    let down = down.parse().map_err(|_| format!("invalid tick `{down}`"))?;
+    let up = up.parse().map_err(|_| format!("invalid tick `{up}`"))?;
+    if up <= down {
+        return Err(format!("crash window {down}:{up} ends before it starts"));
+    }
+    Ok((v, down, up))
 }
 
 /// Parses a dynamics spec: `static`, `cross:F`, `outages:P:Q`,
@@ -956,13 +1029,72 @@ fn record_schedule_spans(rec: &ocd_core::RunRecord, spans: &mut FlightRecorder) 
     }
 }
 
+/// Writes `content` to `path`, or returns it for stdout when no path
+/// is given.
 fn emit(path: Option<&str>, content: String) -> Result<String, String> {
     match path {
         Some(p) => {
-            std::fs::write(p, &content).map_err(|e| format!("write {p}: {e}"))?;
+            write_file(p, &content)?;
             Ok(format!("written to {p}\n"))
         }
         None => Ok(content),
+    }
+}
+
+fn write_file(path: &str, content: &str) -> Result<(), String> {
+    std::fs::write(path, content).map_err(|e| format!("write {path}: {e}"))
+}
+
+/// Writes `path` as CSV when it ends in `.csv`, and as JSON otherwise.
+fn write_csv_or_json(
+    path: &str,
+    csv: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+) -> Result<(), String> {
+    write_file(
+        path,
+        &if path.ends_with(".csv") {
+            csv()
+        } else {
+            json()
+        },
+    )
+}
+
+/// Writes a `--schedule` file and says so on `out`.
+fn write_schedule(out: &mut String, path: &str, schedule: &Schedule) -> Result<(), String> {
+    let json = serde_json::to_string(schedule).map_err(|e| format!("serialize schedule: {e}"))?;
+    write_file(path, &json)?;
+    let _ = writeln!(out, "schedule written to {path}");
+    Ok(())
+}
+
+/// Writes a `--metrics` snapshot and says so on `out`.
+fn write_metrics(
+    out: &mut String,
+    path: &str,
+    snap: Option<&MetricsSnapshot>,
+) -> Result<(), String> {
+    let snap = snap.expect("--metrics enables collection");
+    write_csv_or_json(path, || snap.to_csv(), || snap.to_json())?;
+    let _ = writeln!(out, "metrics snapshot written to {path} ({})", shape(snap));
+    Ok(())
+}
+
+fn shape(snap: &MetricsSnapshot) -> String {
+    let (c, h, s) = (
+        snap.counters.len(),
+        snap.histograms.len(),
+        snap.series.len(),
+    );
+    format!("{c} counters, {h} histograms, {s} series")
+}
+
+fn wants_met(successful: bool) -> &'static str {
+    if successful {
+        "every want satisfied"
+    } else {
+        "incomplete"
     }
 }
 
@@ -1004,10 +1136,22 @@ fn load_instance(path: &str) -> Result<Instance, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
 
-    fn run(parts: &[&str]) -> Result<String, String> {
-        execute(&parse(parts.iter().map(|s| s.to_string()).collect())?)
+    /// One invocation through `run_cli`: exit code, stdout, stderr.
+    fn cli<S: AsRef<str>>(args: &[S]) -> (i32, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let args = args.iter().map(|a| a.as_ref().to_string()).collect();
+        let code = crate::run_cli(args, &mut out, &mut err);
+        let text = |bytes| String::from_utf8(bytes).unwrap();
+        (code, text(out), text(err))
+    }
+
+    /// stdout on exit 0, stderr otherwise.
+    fn run(args: &[&str]) -> Result<String, String> {
+        match cli(args) {
+            (0, out, _) => Ok(out),
+            (_, _, err) => Err(err),
+        }
     }
 
     fn tmp(name: &str) -> String {
@@ -1016,9 +1160,300 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// Runs the space-separated `line`, in which `G` stands for a
+    /// 6-cycle graph, `I` for the figure-one instance, `R` and `S` for
+    /// the record and schedule of one run on it, `B` for a bench
+    /// snapshot, and `O` for `out`.
+    fn run_fixture_line(line: &str, out: &str) -> (i32, String, String) {
+        static FIXTURES: std::sync::Once = std::sync::Once::new();
+        let words = |line: &str| -> Vec<String> {
+            let fixture = |name| tmp(&format!("fixture_{name}"));
+            let word = |word| match word {
+                "G" => fixture("g6.txt"),
+                "I" => fixture("inst.json"),
+                "R" => fixture("record.json"),
+                "S" => fixture("sched.json"),
+                "B" => fixture("bench.json"),
+                "O" => out.to_string(),
+                word => word.to_string(),
+            };
+            line.split(' ').map(word).collect()
+        };
+        FIXTURES.call_once(|| {
+            for line in [
+                "generate --topology cycle --nodes 6 --out G",
+                "instance --graph unused --scenario figure-one --out I",
+                "run --instance I --strategy random --record R --schedule S",
+            ] {
+                assert_eq!(cli(&words(line)).0, 0, "{line}");
+            }
+            let bench = r#"[{"name": "engine/step", "mean_ns": 1000.0}]"#;
+            std::fs::write(&words("B")[0], bench).unwrap();
+        });
+        cli(&words(line))
+    }
+
     #[test]
-    fn help_prints_usage() {
-        assert!(run(&["help"]).unwrap().contains("USAGE"));
+    fn help_prints_usage_and_exits_0() {
+        let lines = [
+            "help",
+            "--help",
+            "-h",
+            "net-run --help",
+            "net-run -h",
+            "run --instance i.json --help",
+            "trace analyze --help",
+        ];
+        for line in lines {
+            let args: Vec<&str> = line.split(' ').collect();
+            assert_eq!(cli(&args), (0, USAGE.to_string(), String::new()), "{line}");
+        }
+    }
+
+    #[test]
+    fn usage_errors_exit_2_before_any_work() {
+        assert_eq!(cli::<&str>(&[]), (2, String::new(), format!("{USAGE}\n")));
+        let cases = [
+            ("unknown subcommand `bogus`", "bogus"),
+            ("missing required flag --topology", "generate --nodes 3"),
+            ("invalid --nodes", "generate --topology path --nodes x"),
+            ("--instance requires a value", "run --instance"),
+            (
+                "capacity range 5..2 is empty",
+                "generate --topology path --nodes 3 --cap 5..2",
+            ),
+            (
+                "unexpected positional argument `positional`",
+                "generate positional",
+            ),
+            (
+                "unexpected positional argument `x`",
+                "run --instance I --strategy random --prune x",
+            ),
+            (
+                "invalid value `abc` for --seed",
+                "run --instance I --strategy random --seed abc",
+            ),
+            ("missing required flag --record", "certify"),
+            ("trace requires a mode: analyze | export", "trace"),
+            (
+                "unknown trace mode `splice` (use analyze | export)",
+                "trace splice",
+            ),
+            ("missing required flag --record", "trace analyze"),
+            ("missing required flag --graph", "coded"),
+            ("bench requires a mode: compare", "bench"),
+            ("unknown bench mode `diff` (use compare)", "bench diff"),
+            (
+                "exactly two snapshot paths (<old.json> <new.json>), got 1",
+                "bench compare B",
+            ),
+            (
+                "exactly two snapshot paths (<old.json> <new.json>), got 3",
+                "bench compare B B B",
+            ),
+            (
+                "invalid value `x` for --tolerance",
+                "bench compare B B --tolerance x",
+            ),
+            (
+                "unknown flag --frob for bench compare",
+                "bench compare B B --frob",
+            ),
+            (
+                "crash spec `4:10` must look like V:DOWN:UP",
+                "net-run --instance I --crash 4:10",
+            ),
+            (
+                "crash window 60:10 ends before it starts",
+                "net-run --instance I --crash 4:60:10",
+            ),
+        ];
+        for (message, line) in cases {
+            let (code, out, err) = run_fixture_line(line, "unused");
+            assert!(err.contains(message), "{line}: {err}");
+            assert!(!err.starts_with("error:"), "{line}: {err}");
+            assert_eq!((code, out.as_str()), (2, ""), "{line}");
+        }
+    }
+
+    #[test]
+    fn unknown_subcommand_lists_subcommands() {
+        let (code, _, err) = cli(&["frobnicate"]);
+        assert_eq!(code, 2);
+        assert!(
+            err.starts_with("unknown subcommand `frobnicate`\n"),
+            "{err}"
+        );
+        assert!(
+            err.contains(
+                "available subcommands: generate, instance, run, net-run, coded, solve, \
+                 bounds, validate, reduce-ds, compare, certify, trace, bench, help\n"
+            ),
+            "{err}"
+        );
+        assert!(err.contains("USAGE"));
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_and_repeated_flags_before_any_work() {
+        // Each line holds a subcommand's required flags; a line that can
+        // write a file ends with the flag naming it, `O`.
+        let lines = [
+            "generate --topology path --nodes 4 --out O",
+            "instance --graph G --scenario figure-one --out O",
+            "run --instance I --strategy random --record O",
+            "net-run --instance I --schedule O",
+            "coded --graph G --metrics O",
+            "solve --instance I --objective time --profile O",
+            "bounds --instance I",
+            "validate --instance I --schedule S",
+            "reduce-ds --graph G --k 1",
+            "compare --instance I",
+            "certify --record R",
+            "trace analyze --record R",
+            "trace export --record R --out O",
+            "bench compare B B --tolerance 0.5",
+        ];
+        let mut cases = vec![
+            // A typo in a flag name is not a different experiment.
+            (
+                "run --instance I --strategy random --recrod O".to_string(),
+                "--recrod",
+            ),
+            (
+                "run --instance I --strategy random --sed 9 --record O".to_string(),
+                "--sed",
+            ),
+        ];
+        for line in lines {
+            let (rest, last) = line.rsplit_once(" --").unwrap();
+            let flag = last.split(' ').next().unwrap();
+            cases.push((format!("{line} --no-such-flag 1"), "--no-such-flag"));
+            cases.push((format!("{rest} --{last} --{last}"), flag));
+            // Each line itself runs.
+            let (code, _, err) = run_fixture_line(line, &tmp("contract_ok.out"));
+            assert_eq!(code, 0, "{line}: {err}");
+        }
+        for (i, (line, flag)) in cases.iter().enumerate() {
+            let out = tmp(&format!("contract_{i}.out"));
+            let _ = std::fs::remove_file(&out);
+            let (code, stdout, err) = run_fixture_line(line, &out);
+            assert_eq!((code, stdout.as_str()), (2, ""), "{line}");
+            assert!(err.contains(flag.trim_start_matches('-')), "{line}: {err}");
+            assert!(!std::path::Path::new(&out).exists(), "{line} wrote {out}");
+        }
+    }
+
+    #[test]
+    fn defaults_equal_their_spelled_out_values() {
+        let pairs = [
+            (
+                "generate --topology random --nodes 20",
+                "generate --topology random --nodes 20 --seed 0 --cap 3..15",
+            ),
+            (
+                "instance --graph G --scenario single-file",
+                "instance --graph G --scenario single-file --tokens 64 --files 1 --source 0 \
+                 --threshold 1 --seed 0",
+            ),
+            (
+                "run --instance I --strategy random",
+                "run --instance I --strategy random --seed 0 --delay 0 --max-steps 10000",
+            ),
+            (
+                "net-run --instance I",
+                "net-run --instance I --policy random --seed 0 --latency 1 --jitter 0 --loss 0 \
+                 --control-latency 0 --control-loss 0 --max-ticks 100000",
+            ),
+            (
+                "coded --graph G",
+                "coded --graph G --strategy random --tokens 16 --payload 64 --source 0 \
+                 --redundancy 1 --loss 0 --seed 0 --max-steps 10000",
+            ),
+            (
+                "solve --instance I --objective bandwidth",
+                "solve --instance I --objective bandwidth --horizon 0 --threads 1",
+            ),
+            (
+                "compare --instance I",
+                "compare --instance I --runs 3 --seed 0",
+            ),
+            (
+                "trace export --record R",
+                "trace export --record R --format chrome",
+            ),
+            ("bench compare B B", "bench compare B B --tolerance 0.15"),
+        ];
+        for (short, long) in pairs {
+            let (code, out, err) = run_fixture_line(short, "unused");
+            assert_eq!(code, 0, "{short}: {err}");
+            assert_eq!(run_fixture_line(long, "unused"), (0, out, err), "{long}");
+        }
+        let (_, coded, _) = run_fixture_line("coded --graph G", "unused");
+        assert!(coded.contains("k = 16, payload = 64 B"), "{coded}");
+        assert!(!coded.contains("critical path"), "{coded}");
+        // `--out` sends the same bytes to a file.
+        let out = tmp("defaults_spans.csv");
+        let (code, written, _) =
+            run_fixture_line("trace export --record R --format csv --spans --out O", &out);
+        assert_eq!((code, written), (0, format!("written to {out}\n")));
+        let (_, stdout, _) = run_fixture_line("trace export --record R --spans --format csv", "");
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), stdout);
+    }
+
+    #[test]
+    fn generate_flags_reach_the_generator() {
+        let out = tmp("generate_flags.txt");
+        let written = run(&[
+            "generate",
+            "--topology",
+            "random",
+            "--nodes",
+            "50",
+            "--seed",
+            "9",
+            "--cap",
+            "1..4",
+            "--out",
+            &out,
+        ])
+        .unwrap();
+        assert_eq!(written, format!("written to {out}\n"));
+        let config = GnpConfig {
+            capacity: 1..=4,
+            ..GnpConfig::paper(50)
+        };
+        let expected = gio::to_edge_list(&gnp(&config, &mut StdRng::seed_from_u64(9)));
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), expected);
+    }
+
+    #[test]
+    fn net_run_defaults_are_ideal_mode() {
+        // With every link flag at its default, the swarm makes the same
+        // moves as the lockstep engine under the same seed.
+        let inst = tmp("ideal_inst.json");
+        let line = "instance --graph G --scenario single-file --tokens 8 --out O";
+        assert_eq!(run_fixture_line(line, &inst).0, 0);
+        let field = |out: &str, name: &str| -> String {
+            let line = out.lines().find(|l| l.starts_with(name)).unwrap();
+            line[name.len()..].trim().to_string()
+        };
+        for seed in ["1", "5"] {
+            let swarm = run(&["net-run", "--instance", &inst, "--seed", seed]).unwrap();
+            let lockstep = [
+                "run",
+                "--instance",
+                &inst,
+                "--strategy",
+                "random",
+                "--seed",
+                seed,
+            ];
+            let lockstep = run(&lockstep).unwrap();
+            assert_eq!(field(&swarm, "makespan:"), field(&lockstep, "moves:"));
+            assert_eq!(field(&swarm, "bandwidth:"), field(&lockstep, "bandwidth:"));
+        }
     }
 
     #[test]
@@ -1950,8 +2385,7 @@ mod tests {
             for args in commands {
                 let err = run(args).unwrap_err();
                 assert!(err.contains(message), "{args:?}: {err}");
-                let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-                assert_eq!(crate::run_cli(args), 1, "exit code");
+                assert_eq!(cli(args).0, 1, "{args:?}: exit code");
             }
         }
     }
@@ -1960,22 +2394,7 @@ mod tests {
     fn hostile_flag_values_are_typed_errors() {
         // Out-of-range flag values are checked before they reach a
         // library constructor that asserts on them. Each case reads
-        // `<expected message>: <command>`, where `G` stands for a
-        // 6-vertex graph and `I` for an instance on it.
-        let (g, inst) = (tmp("hostile_flags_g6.txt"), tmp("hostile_flags_inst.json"));
-        let run_line = |line: &str| {
-            let args: Vec<&str> = line
-                .split(' ')
-                .map(|arg| match arg {
-                    "G" => g.as_str(),
-                    "I" => inst.as_str(),
-                    arg => arg,
-                })
-                .collect();
-            run(&args)
-        };
-        run_line("generate --topology cycle --nodes 6 --out G").unwrap();
-        run_line("instance --graph G --scenario single-file --out I").unwrap();
+        // `<expected message>: <command>`, in `run_fixture_line` words.
         let cases = [
             "redundancy: coded --graph G --redundancy 0.5",
             "redundancy: coded --graph G --redundancy NaN",
@@ -1999,11 +2418,13 @@ mod tests {
             "[0, 1]: run --instance I --strategy random --dynamics churn:2:0.5",
             "[0, 1]: run --instance I --strategy random --dynamics cross:-1",
             "[0, 1]: run --instance I --strategy random --dynamics outages:2:0.5",
+            "--runs must be at least 1: compare --instance I --runs 0",
         ];
         for case in cases {
             let (message, line) = case.split_once(": ").unwrap();
-            let err = run_line(line).unwrap_err();
+            let (code, out, err) = run_fixture_line(line, "unused");
             assert!(err.contains(message), "{line}: {err}");
+            assert_eq!((code, out.as_str()), (1, ""), "{line}");
         }
     }
 }

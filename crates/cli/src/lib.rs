@@ -1,8 +1,10 @@
 //! Implementation of the `ocd` command-line tool.
 //!
-//! The binary (`src/bin/ocd.rs`) is a thin wrapper over [`parse`] and
-//! [`execute`], which are kept in library form so the command surface is
-//! unit-testable without spawning processes.
+//! The binary (`src/bin/ocd.rs`) is a thin wrapper over [`run_cli`].
+//! Each subcommand is one function that reads and type-checks its own
+//! flags and returns the work to run. A flag the subcommand never
+//! reads, or a flag given twice, is a usage error: it exits 2 before
+//! any work runs.
 //!
 //! ```text
 //! ocd generate --topology random --nodes 50 --seed 1 --out topo.txt
@@ -20,28 +22,29 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod commands;
-mod opts;
+mod flags;
 
-pub use commands::execute;
-pub use opts::{parse, Command};
+use std::io::Write;
 
-/// Entry point shared by the binary: parse, execute, print, exit code.
-#[must_use]
-pub fn run_cli(args: Vec<String>) -> i32 {
-    match parse(args) {
-        Ok(cmd) => match execute(&cmd) {
+/// Runs one invocation (`args` without the program name), printing its
+/// output on `stdout` and its diagnostics on `stderr`. Returns the exit
+/// code: 0 on success and for `help`, 1 when the work fails, and 2 for
+/// a usage error, printed before any work runs.
+pub fn run_cli(args: Vec<String>, stdout: &mut dyn Write, stderr: &mut dyn Write) -> i32 {
+    match commands::parse(&args) {
+        Err(usage) => {
+            let _ = writeln!(stderr, "{usage}");
+            2
+        }
+        Ok(job) => match job() {
             Ok(output) => {
-                print!("{output}");
+                let _ = write!(stdout, "{output}");
                 0
             }
             Err(msg) => {
-                eprintln!("error: {msg}");
+                let _ = writeln!(stderr, "error: {msg}");
                 1
             }
         },
-        Err(msg) => {
-            eprintln!("{msg}");
-            2
-        }
     }
 }

@@ -40,7 +40,8 @@ pub const RUN_RECORD_VERSION: u32 = 4;
 /// Oldest schema version [`RunRecord::certify`] still accepts.
 pub const RUN_RECORD_MIN_VERSION: u32 = 1;
 
-/// Per-step counters, the serialized form of the engine's step trace.
+/// Per-step counters of a lockstep run: the engine's step trace, and
+/// its serialized form in a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepTrace {
     /// 0-based step index.
@@ -49,7 +50,8 @@ pub struct StepTrace {
     pub moves: u64,
     /// Outstanding (vertex, token) needs after the step.
     pub remaining_need: u64,
-    /// Wall-clock nanoseconds the step took.
+    /// Wall-clock nanoseconds the step took (planning + validation +
+    /// application), so figure binaries can report per-step cost.
     pub nanos: u64,
 }
 

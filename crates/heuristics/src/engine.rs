@@ -70,20 +70,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Per-step counters recorded during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepRecord {
-    /// 0-based step index.
-    pub step: usize,
-    /// Tokens transferred this step.
-    pub moves: u64,
-    /// Outstanding (vertex, token) needs after the step.
-    pub remaining_need: u64,
-    /// Wall-clock nanoseconds the step took (planning + validation +
-    /// application), so figure binaries can report per-step cost.
-    pub nanos: u64,
-}
-
 /// Result of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -99,8 +85,8 @@ pub struct SimReport {
     /// For each vertex, the step after which its want set was complete
     /// (0 = already satisfied initially); `None` if never satisfied.
     pub completion_steps: Vec<Option<usize>>,
-    /// Per-step counters.
-    pub trace: Vec<StepRecord>,
+    /// Per-step counters, as [`RunRecord::trace`] stores them.
+    pub trace: Vec<StepTrace>,
     /// Tokens delivered to a vertex that already held them — waste from
     /// simultaneous duplicate sends (the only duplicates the lockstep
     /// model permits). Comparable with the asynchronous runtime's
@@ -195,17 +181,7 @@ impl SimOutcome {
             duplicate_deliveries: self.report.duplicate_deliveries,
             wall_nanos: self.report.wall_nanos,
             completion_steps: self.report.completion_steps.clone(),
-            trace: self
-                .report
-                .trace
-                .iter()
-                .map(|r| StepTrace {
-                    step: r.step,
-                    moves: r.moves,
-                    remaining_need: r.remaining_need,
-                    nanos: r.nanos,
-                })
-                .collect(),
+            trace: self.report.trace.clone(),
             capacity_trace: self.capacity_trace.clone(),
             rejected_per_step: self.rejected_per_step.clone(),
             metrics: self.metrics.clone(),
@@ -520,7 +496,7 @@ fn run_loop<M: Medium, S: SpanRecorder>(
         spans.attach(step_span, "remaining_need", remaining);
         spans.close(step_span);
         step += 1;
-        trace.push(StepRecord {
+        trace.push(StepTrace {
             step: step - 1,
             moves,
             remaining_need: remaining,

@@ -68,9 +68,7 @@ pub use coded::{
     CodedSimConfig, CodedSimReport, CodedStrategy, CodedView, IdealCoded, LossyCoded,
 };
 pub use dynamics::NetworkDynamics;
-pub use engine::{
-    simulate, simulate_with, simulate_with_spans, SimConfig, SimOutcome, SimReport, StepRecord,
-};
+pub use engine::{simulate, simulate_with, simulate_with_spans, SimConfig, SimOutcome, SimReport};
 pub use gather::GatherThenPlan;
 pub use global_greedy::GlobalGreedy;
 pub use kind::StrategyKind;

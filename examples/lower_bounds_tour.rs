@@ -55,11 +55,17 @@ fn main() {
         "Steiner schedule bandwidth (upper):      {}",
         steiner.bandwidth
     );
-    let exact_bw = min_bandwidth_for_horizon(&instance, 7, &Default::default())
+    // Solved at the optimal makespan τ*: each extra step of horizon
+    // enlarges the IP, and by τ* + 2 the branch and bound exceeds its
+    // default node limit.
+    let exact_bw = min_bandwidth_for_horizon(&instance, exact.makespan, &Default::default())
         .unwrap()
-        .expect("feasible")
+        .expect("feasible within the optimal makespan")
         .bandwidth;
-    println!("exact minimum bandwidth:                 {exact_bw}");
+    println!(
+        "exact minimum bandwidth within τ* = {} steps: {exact_bw}",
+        exact.makespan
+    );
     assert!(bw_lb as u64 <= exact_bw && exact_bw <= steiner.bandwidth);
     println!(
         "\nsandwich: {} ≤ {} ≤ {} — the exact optimum is pinned between the\n\
