@@ -68,7 +68,7 @@
 //! assert_eq!(schedule.bandwidth(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod bounds;

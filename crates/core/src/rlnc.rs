@@ -159,6 +159,13 @@ impl CodedBasis {
     /// coefficient vector was outside the current span and the rank
     /// grew by one).
     ///
+    /// Elimination runs on the `k`-byte header first and leaves each
+    /// stored row's multiplier in the column it cleared. Only a packet
+    /// that proves innovative replays those multipliers on its payload,
+    /// in the same order, so a redundant packet costs no payload work
+    /// and an innovative one is stored with the same bytes as under
+    /// eager elimination of header and payload together.
+    ///
     /// # Panics
     ///
     /// Panics if the packet's dimensions do not match the basis.
@@ -169,33 +176,33 @@ impl CodedBasis {
             self.payload_len,
             "payload length mismatch"
         );
-        for col in 0..self.k {
-            let c = packet.coeffs[col];
-            if c == 0 {
-                continue;
-            }
-            match &self.rows[col] {
-                Some(row) => {
-                    // Stored rows are pivot-normalized to 1, so
-                    // subtracting c·row zeros this column.
-                    gf256::mul_add_slice(&mut packet.coeffs, c, &row.coeffs);
-                    gf256::mul_add_slice(&mut packet.payload, c, &row.payload);
-                    debug_assert_eq!(packet.coeffs[col], 0);
-                }
-                None => {
-                    let inv = gf256::inv(c);
-                    gf256::mul_slice(&mut packet.coeffs, inv);
-                    gf256::mul_slice(&mut packet.payload, inv);
-                    self.rows[col] = Some(Row {
-                        coeffs: packet.coeffs,
-                        payload: packet.payload,
-                    });
-                    self.rank += 1;
-                    return true;
-                }
+        let Some(pivot) = eliminate(&mut packet.coeffs, |col| self.pivot_coeffs(col)) else {
+            return false;
+        };
+        let (multipliers, tail) = packet.coeffs.split_at_mut(pivot);
+        for (col, m) in multipliers.iter_mut().enumerate() {
+            if *m != 0 {
+                let row = self.rows[col]
+                    .as_ref()
+                    .expect("a multiplier marks a stored row");
+                gf256::mul_add_slice(&mut packet.payload, *m, &row.payload);
+                *m = 0;
             }
         }
-        false
+        let inv = gf256::inv(tail[0]);
+        gf256::mul_slice(tail, inv);
+        gf256::mul_slice(&mut packet.payload, inv);
+        self.rows[pivot] = Some(Row {
+            coeffs: packet.coeffs,
+            payload: packet.payload,
+        });
+        self.rank += 1;
+        true
+    }
+
+    /// The coefficients of the stored row whose pivot is `col`.
+    fn pivot_coeffs(&self, col: usize) -> Option<&[u8]> {
+        self.rows[col].as_ref().map(|row| row.coeffs.as_slice())
     }
 
     /// Whether a packet with this coefficient vector would be
@@ -207,18 +214,7 @@ impl CodedBasis {
     #[must_use]
     pub fn is_innovative(&self, coeffs: &[u8]) -> bool {
         assert_eq!(coeffs.len(), self.k, "coefficient length mismatch");
-        let mut c = coeffs.to_vec();
-        for col in 0..self.k {
-            let f = c[col];
-            if f == 0 {
-                continue;
-            }
-            match &self.rows[col] {
-                Some(row) => gf256::mul_add_slice(&mut c, f, &row.coeffs),
-                None => return true,
-            }
-        }
-        false
+        eliminate(&mut coeffs.to_vec(), |col| self.pivot_coeffs(col)).is_some()
     }
 
     /// How many innovative packets `sender` could supply to this
@@ -227,22 +223,44 @@ impl CodedBasis {
     /// have(dst)|`, and zero exactly when the sender's span is already
     /// contained in the receiver's.
     ///
+    /// The answer is exact on every path. A full-rank sender supplies
+    /// the whole [`deficit`](Self::deficit); an empty sender, or a
+    /// complete receiver, supplies nothing. Otherwise the sender's rows
+    /// are eliminated, header only, against the receiver's rows (read
+    /// in place) and the new pivots found so far, stopping once
+    /// `deficit` new pivots are found.
+    ///
     /// # Panics
     ///
     /// Panics if the generation sizes differ.
     #[must_use]
     pub fn innovative_capacity_from(&self, sender: &CodedBasis) -> usize {
         assert_eq!(self.k, sender.k, "generation size mismatch");
-        let mut scratch: Vec<Option<Vec<u8>>> = self
-            .rows
-            .iter()
-            .map(|r| r.as_ref().map(|row| row.coeffs.clone()))
-            .collect();
+        let deficit = self.deficit();
+        if sender.is_complete() {
+            return deficit;
+        }
+        if sender.rank == 0 || deficit == 0 {
+            return 0;
+        }
+        let mut found: Vec<Option<Vec<u8>>> = vec![None; self.k];
         let mut gained = 0;
         for row in sender.rows.iter().flatten() {
-            if let Some((col, reduced)) = reduce_coeffs(&scratch, row.coeffs.clone()) {
-                scratch[col] = Some(reduced);
+            let mut c = row.coeffs.clone();
+            let pivot = eliminate(&mut c, |col| {
+                self.pivot_coeffs(col).or(found[col].as_deref())
+            });
+            if let Some(col) = pivot {
+                // Zero the multipliers and normalize the pivot to 1, the
+                // shape `eliminate` expects of every row it reads.
+                c[..col].fill(0);
+                let inv = gf256::inv(c[col]);
+                gf256::mul_slice(&mut c[col..], inv);
+                found[col] = Some(c);
                 gained += 1;
+                if gained == deficit {
+                    break;
+                }
             }
         }
         gained
@@ -316,22 +334,31 @@ impl CodedBasis {
     }
 }
 
-/// Reduces a bare coefficient vector against a scratch basis. Returns
-/// the pivot column and normalized vector if it is independent, `None`
-/// if it reduced to zero.
-fn reduce_coeffs(scratch: &[Option<Vec<u8>>], mut c: Vec<u8>) -> Option<(usize, Vec<u8>)> {
-    for col in 0..c.len() {
-        let f = c[col];
+/// Eliminates the coefficient vector `coeffs` left to right against
+/// the rows `pivot_row(col)` returns, each zero before `col` and `1` at
+/// it. Returns the first column where `coeffs` is nonzero and no row
+/// has its pivot (the vector is innovative there), or `None` if the
+/// vector reduced to zero.
+///
+/// Subtracting `f ·` row clears column `col`, so the loop writes only
+/// the columns after it and leaves `f` in column `col`: no later step
+/// reads or writes a column before its own. On return every column
+/// before the pivot therefore holds the multiplier its row was
+/// subtracted with, or `0` where no row was used, which is what
+/// [`CodedBasis::absorb`] replays on the payload.
+fn eliminate<'a>(
+    coeffs: &mut [u8],
+    pivot_row: impl Fn(usize) -> Option<&'a [u8]>,
+) -> Option<usize> {
+    for col in 0..coeffs.len() {
+        let f = coeffs[col];
         if f == 0 {
             continue;
         }
-        match &scratch[col] {
-            Some(basis) => gf256::mul_add_slice(&mut c, f, basis),
-            None => {
-                gf256::mul_slice(&mut c, gf256::inv(f));
-                return Some((col, c));
-            }
-        }
+        let Some(row) = pivot_row(col) else {
+            return Some(col);
+        };
+        gf256::mul_add_slice(&mut coeffs[col + 1..], f, &row[col + 1..]);
     }
     None
 }
@@ -545,6 +572,156 @@ mod tests {
         let _ = peer.absorb(sink.random_packet(&mut rng));
         assert_eq!(sink.innovative_capacity_from(&peer), 0);
         assert!(peer.innovative_capacity_from(&sink) > 0);
+    }
+
+    /// The eager elimination that header-first [`CodedBasis::absorb`]
+    /// replaced, kept as its reference: header and payload reduced
+    /// together, column by column.
+    fn absorb_eager(basis: &mut CodedBasis, mut packet: CodedPacket) -> bool {
+        for col in 0..basis.k {
+            let c = packet.coeffs[col];
+            if c == 0 {
+                continue;
+            }
+            match &basis.rows[col] {
+                Some(row) => {
+                    gf256::mul_add_slice(&mut packet.coeffs, c, &row.coeffs);
+                    gf256::mul_add_slice(&mut packet.payload, c, &row.payload);
+                }
+                None => {
+                    let inv = gf256::inv(c);
+                    gf256::mul_slice(&mut packet.coeffs, inv);
+                    gf256::mul_slice(&mut packet.payload, inv);
+                    basis.rows[col] = Some(Row {
+                        coeffs: packet.coeffs,
+                        payload: packet.payload,
+                    });
+                    basis.rank += 1;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// `rank(receiver ∪ sender) − rank(receiver)` by brute force: each
+    /// of the sender's stored rows absorbed into a clone of the
+    /// receiver, the innovative ones counted.
+    fn capacity_oracle(receiver: &CodedBasis, sender: &CodedBasis) -> usize {
+        let mut union = receiver.clone();
+        let mut gained = 0;
+        for row in sender.rows.iter().flatten() {
+            let packet = CodedPacket {
+                coeffs: row.coeffs.clone(),
+                payload: row.payload.clone(),
+            };
+            if union.absorb(packet) {
+                gained += 1;
+            }
+        }
+        gained
+    }
+
+    /// `count` random packets of `from` absorbed into `into`.
+    fn feed(into: &mut CodedBasis, from: &CodedBasis, count: usize, rng: &mut StdRng) {
+        for _ in 0..count {
+            if from.rank() > 0 {
+                let _ = into.absorb(from.random_packet(rng));
+            }
+        }
+    }
+
+    /// A packet with random coefficients, about half of them zero, and
+    /// a random payload: it need not lie in any generation's span.
+    fn arbitrary_packet(k: usize, len: usize, rng: &mut StdRng) -> CodedPacket {
+        let mut byte = || (rng.next_u32() & 0xFF) as u8;
+        CodedPacket {
+            coeffs: (0..k)
+                .map(|_| if byte() < 128 { 0 } else { byte() })
+                .collect(),
+            payload: (0..len).map(|_| byte()).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The fast paths and the early stop of
+        /// `innovative_capacity_from` agree with the brute-force
+        /// oracle for empty, partial, overlapping and full-rank
+        /// senders, and for receivers of every rank up to complete.
+        #[test]
+        fn innovative_capacity_matches_brute_force(
+            k in 1usize..=12,
+            len in 0usize..=40,
+            received in 0usize..=14,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let payloads: Vec<Vec<u8>> = (0..k)
+                .map(|_| (0..len).map(|_| rng.next_u32() as u8).collect())
+                .collect();
+            let source = CodedBasis::source(&payloads);
+            let mut receiver = CodedBasis::new(k, len);
+            feed(&mut receiver, &source, received, &mut rng);
+            let mut partial = CodedBasis::new(k, len);
+            feed(&mut partial, &source, k / 2, &mut rng);
+            // Overlapping: part of the receiver's span plus fresh rows.
+            let mut overlapping = CodedBasis::new(k, len);
+            feed(&mut overlapping, &receiver, k.div_ceil(2), &mut rng);
+            feed(&mut overlapping, &source, k.div_ceil(2), &mut rng);
+            // Full rank with a non-identity basis.
+            let mut relay = CodedBasis::new(k, len);
+            while !relay.is_complete() {
+                let _ = relay.absorb(source.random_packet(&mut rng));
+            }
+            let senders = [
+                ("empty", CodedBasis::new(k, len)),
+                ("partial", partial),
+                ("overlapping", overlapping),
+                ("source", source.clone()),
+                ("relay", relay),
+                ("self", receiver.clone()),
+            ];
+            for (name, sender) in &senders {
+                proptest::prop_assert_eq!(
+                    receiver.innovative_capacity_from(sender),
+                    capacity_oracle(&receiver, sender),
+                    "sender {} (rank {}) into receiver of rank {}",
+                    name,
+                    sender.rank(),
+                    receiver.rank()
+                );
+            }
+        }
+
+        /// Header-first `absorb` returns the same verdict and stores the
+        /// same row bytes as the eager elimination it replaced, for
+        /// innovative, redundant and arbitrary packets.
+        #[test]
+        fn header_first_absorb_matches_eager_elimination(
+            k in 1usize..=12,
+            len in 0usize..=70,
+            received in 0usize..=14,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let payloads: Vec<Vec<u8>> = (0..k)
+                .map(|_| (0..len).map(|_| rng.next_u32() as u8).collect())
+                .collect();
+            let source = CodedBasis::source(&payloads);
+            let mut basis = CodedBasis::new(k, len);
+            feed(&mut basis, &source, received, &mut rng);
+            for round in 0..3 * k {
+                let packet = match round % 3 {
+                    0 => source.random_packet(&mut rng),
+                    1 if basis.rank() > 0 => basis.random_packet(&mut rng),
+                    _ => arbitrary_packet(k, len, &mut rng),
+                };
+                let mut eager = basis.clone();
+                let expect = absorb_eager(&mut eager, packet.clone());
+                proptest::prop_assert_eq!(basis.absorb(packet), expect, "round {}", round);
+                proptest::prop_assert!(basis == eager, "stored rows differ in round {}", round);
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,13 @@ fn generation(k: usize, len: usize, salt: u8) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Payload lengths: every short length, then each side of the 32-byte
+/// vector width and its multiples, and a long tail past a whole
+/// kilobyte.
+const LENS: [usize; 25] = [
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 31, 32, 33, 63, 64, 65, 1024, 1031,
+];
+
 proptest! {
     /// Round trip at random k ≤ 32: random combinations drawn from the
     /// source basis are absorbed until rank k; exactly k of them are
@@ -29,7 +36,7 @@ proptest! {
     #[test]
     fn k_independent_combinations_decode_to_the_generation(
         k in 1usize..=32,
-        len in 0usize..=16,
+        len in (0..LENS.len()).prop_map(|i| LENS[i]),
         salt in 0u8..=255,
         seed in 0u64..1_000_000,
     ) {

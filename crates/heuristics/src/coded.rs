@@ -28,7 +28,7 @@
 
 use ocd_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use ocd_core::provenance::ProvenanceTrace;
-use ocd_core::rlnc::{CodedBasis, RlncInstance};
+use ocd_core::rlnc::{CodedBasis, CodedPacket, RlncInstance};
 use ocd_core::{Token, TokenSet};
 use ocd_graph::{DiGraph, EdgeId};
 use rand::{Rng, RngCore};
@@ -376,6 +376,8 @@ pub fn simulate_coded_with<M: CodedMedium>(
     };
     // Duplicate-arc stamps, mirroring the uncoded engine's §3.1 check.
     let mut stamp = vec![usize::MAX; g.edge_count()];
+    // This step's delivered packets, reused across steps.
+    let mut arrivals: Vec<(EdgeId, CodedPacket)> = Vec::new();
     let all_done = |bases: &[CodedBasis]| {
         g.nodes()
             .all(|v| !receiver[v.index()] || bases[v.index()].is_complete())
@@ -400,41 +402,45 @@ pub fn simulate_coded_with<M: CodedMedium>(
             // No sender can help anyone: the run is at its fixpoint.
             break;
         }
-        // Store-and-forward: packets mix start-of-step state even when
-        // the sender gains rank from a parallel delivery this step.
-        let snapshot = bases.clone();
+        // Store-and-forward: every packet mixes start-of-step state, so
+        // all packets are drawn first and the delivered ones absorbed
+        // after the send loop, in send order.
         for &(e, count) in &plan {
             assert!(e.index() < g.edge_count(), "send on non-existent arc");
             assert!(stamp[e.index()] != step, "duplicate arc in step plan");
             stamp[e.index()] = step;
             assert!(count >= 1, "empty send on arc");
             assert!(count <= caps[e.index()], "capacity violated on arc");
-            let arc = g.edge(e);
+            let src = g.edge(e).src.index();
             for _ in 0..count {
-                let packet = snapshot[arc.src.index()].random_packet(rng);
+                let packet = bases[src].random_packet(rng);
                 report.packets_sent += 1;
                 report.bytes_sent += packet.wire_bytes();
-                if !medium.deliver(e, rng) {
-                    report.packets_lost += 1;
-                    continue;
-                }
-                // Innovation is judged against the receiver's *live*
-                // basis, so a same-step race between two in-arcs books
-                // the loser as redundant — never as progress.
-                let dst = arc.dst.index();
-                let slot = bases[dst].rank();
-                if bases[dst].absorb(packet) {
-                    report.innovative_deliveries += 1;
-                    if let Some(trace) = &mut provenance {
-                        let delta = TokenSet::from_tokens(k, [Token::new(slot)]);
-                        trace.record_delivery(step as u64, e, arc.src, arc.dst, &delta);
-                    }
-                    if bases[dst].is_complete() && completion[dst].is_none() {
-                        completion[dst] = Some(step + 1);
-                    }
+                if medium.deliver(e, rng) {
+                    arrivals.push((e, packet));
                 } else {
-                    report.redundant_deliveries += 1;
+                    report.packets_lost += 1;
                 }
+            }
+        }
+        for (e, packet) in arrivals.drain(..) {
+            // Innovation is judged against the receiver's *live* basis,
+            // so a same-step race between two in-arcs books the loser as
+            // redundant — never as progress.
+            let arc = g.edge(e);
+            let dst = arc.dst.index();
+            let slot = bases[dst].rank();
+            if bases[dst].absorb(packet) {
+                report.innovative_deliveries += 1;
+                if let Some(trace) = &mut provenance {
+                    let delta = TokenSet::from_tokens(k, [Token::new(slot)]);
+                    trace.record_delivery(step as u64, e, arc.src, arc.dst, &delta);
+                }
+                if bases[dst].is_complete() && completion[dst].is_none() {
+                    completion[dst] = Some(step + 1);
+                }
+            } else {
+                report.redundant_deliveries += 1;
             }
         }
         report.steps = step + 1;

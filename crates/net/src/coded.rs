@@ -228,8 +228,8 @@ struct Pending {
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`NetConfig::validate`] or
-/// `redundancy < 1`.
+/// Panics if `config` fails [`NetConfig::validate`], or if
+/// `redundancy < 1` or is not finite.
 pub fn run_coded_swarm(
     instance: &RlncInstance,
     config: &NetConfig,
@@ -255,6 +255,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
 ) -> CodedNetReport {
     config.validate().expect("invalid net config");
     assert!(redundancy >= 1.0, "redundancy is a multiplier ≥ 1");
+    assert!(redundancy.is_finite(), "redundancy is a finite multiplier");
     let g = instance.graph();
     let n = g.node_count();
     let k = instance.generation();
@@ -546,6 +547,19 @@ mod tests {
         assert_eq!(report.packets_lost, 0);
         assert_eq!(report.bytes_sent, report.packets_sent * inst.packet_bytes());
         assert!(report.innovative_deliveries >= 8 * 5);
+    }
+
+    /// An infinite factor would ask pull mode for `u32::MAX` grants per
+    /// receiver per tick; it is refused at entry instead.
+    #[test]
+    #[should_panic(expected = "redundancy is a finite multiplier")]
+    fn infinite_redundancy_is_rejected() {
+        let config = NetConfig {
+            policy: crate::NetPolicy::Local,
+            ..NetConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let _ = run_coded_swarm(&ring_instance(8, 16), &config, f64::INFINITY, &mut rng);
     }
 
     #[test]
