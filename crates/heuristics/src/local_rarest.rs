@@ -86,7 +86,7 @@ impl Strategy for LocalRarest {
             let assigned = subdivide_requests(
                 &need,
                 &in_edges,
-                &|e, t| view.possession[g.edge(e).src.index()].contains(t),
+                &|e| &view.possession[g.edge(e).src.index()],
                 &|e| view.capacity(e),
                 view.aggregates,
                 rng,

@@ -108,33 +108,57 @@ pub fn deterministic_rarest_fill(
 /// The Local heuristic's receiver rule: subdivide `need` into per-in-arc
 /// requests so no two in-peers are asked for the same token. Rarest
 /// tokens are assigned first (they claim scarce slots); each token goes
-/// to the eligible arc — peer believed to hold it, request list below
+/// to the eligible arc — peer holds it (`peer_set(e)` is what the
+/// receiver knows arc `e`'s source to hold), request list below
 /// `capacity` — with the lightest load so far, ties broken uniformly at
 /// random. Returns one request set per entry of `in_edges`, aligned by
 /// index.
 ///
-/// RNG consumption: one draw per token of `need` (via [`rarest_first`]),
-/// then one draw per *eligible* arc per token, in `in_edges` order.
-pub fn subdivide_requests(
+/// RNG consumption: one `u32` per token of `need`, in ascending token
+/// order (the [`rarest_first`] tie-breaks), then one per *eligible* arc
+/// per token, in rank order and then `in_edges` order. Only tokens some
+/// in-peer with a nonzero capacity holds can have an eligible arc, so
+/// only those are ranked and assigned; the rest still draw their
+/// tie-break, which keeps the stream independent of what the peers
+/// hold. When no needed token is reachable the call only draws.
+pub fn subdivide_requests<'s>(
     need: &TokenSet,
     in_edges: &[EdgeId],
-    peer_has: &dyn Fn(EdgeId, Token) -> bool,
+    peer_set: &dyn Fn(EdgeId) -> &'s TokenSet,
     capacity: &dyn Fn(EdgeId) -> u32,
     aggregates: &AggregateKnowledge,
     rng: &mut dyn RngCore,
 ) -> Vec<TokenSet> {
     let m = need.universe();
-    let mut load: Vec<usize> = vec![0; in_edges.len()];
     let mut requests: Vec<TokenSet> = vec![TokenSet::new(m); in_edges.len()];
-    for t in rarest_first(need, aggregates, rng) {
-        // Eligible arcs: the peer holds the token and the request list
-        // has capacity left.
+    let mut reach = TokenSet::new(m);
+    for &e in in_edges {
+        if capacity(e) > 0 {
+            reach.union_with(peer_set(e));
+        }
+    }
+    reach.intersect_with(need);
+    if reach.is_empty() {
+        for _ in 0..need.len() {
+            rng.next_u32();
+        }
+        return requests;
+    }
+    let caps: Vec<usize> = in_edges.iter().map(|&e| capacity(e) as usize).collect();
+    let peers: Vec<&TokenSet> = in_edges.iter().map(|&e| peer_set(e)).collect();
+    let mut ranked: Vec<(u32, u32, Token)> = Vec::with_capacity(reach.len());
+    for t in need.iter() {
+        let draw = rng.next_u32();
+        if reach.contains(t) {
+            ranked.push((aggregates.rarity(t), draw, t));
+        }
+    }
+    ranked.sort_unstable();
+    let mut load: Vec<usize> = vec![0; in_edges.len()];
+    for (_, _, t) in ranked {
         let mut best: Option<(usize, u32, EdgeId, usize)> = None; // (load, jitter, edge, slot)
         for (slot, &e) in in_edges.iter().enumerate() {
-            if load[slot] >= capacity(e) as usize {
-                continue;
-            }
-            if !peer_has(e, t) {
+            if load[slot] >= caps[slot] || !peers[slot].contains(t) {
                 continue;
             }
             let key = (load[slot], rng.next_u32(), e, slot);
@@ -213,12 +237,13 @@ mod tests {
     #[test]
     fn subdivide_never_duplicates_a_token() {
         let need = TokenSet::full(4);
+        let all = TokenSet::full(4);
         let in_edges = [EdgeId::new(0), EdgeId::new(1)];
         let mut rng = StdRng::seed_from_u64(3);
         let requests = subdivide_requests(
             &need,
             &in_edges,
-            &|_, _| true,
+            &|_| &all,
             &|_| 2,
             &uniform_aggregates(4),
             &mut rng,
@@ -232,13 +257,14 @@ mod tests {
     #[test]
     fn subdivide_skips_peers_without_the_token() {
         let need = TokenSet::full(2);
+        let (none, all) = (TokenSet::new(2), TokenSet::full(2));
         let in_edges = [EdgeId::new(0), EdgeId::new(1)];
         let mut rng = StdRng::seed_from_u64(4);
         // Only arc 1's peer holds anything.
         let requests = subdivide_requests(
             &need,
             &in_edges,
-            &|e, _| e.index() == 1,
+            &|e| if e.index() == 1 { &all } else { &none },
             &|_| 4,
             &uniform_aggregates(2),
             &mut rng,
@@ -250,16 +276,143 @@ mod tests {
     #[test]
     fn subdivide_respects_per_arc_capacity() {
         let need = TokenSet::full(6);
+        let all = TokenSet::full(6);
         let in_edges = [EdgeId::new(0)];
         let mut rng = StdRng::seed_from_u64(5);
         let requests = subdivide_requests(
             &need,
             &in_edges,
-            &|_, _| true,
+            &|_| &all,
             &|_| 2,
             &uniform_aggregates(6),
             &mut rng,
         );
         assert_eq!(requests[0].len(), 2, "capacity bounds the request list");
+    }
+
+    #[test]
+    fn subdivide_with_nothing_reachable_only_draws_the_tie_breaks() {
+        let need = TokenSet::from_range(70, 3..68);
+        let held = TokenSet::from_range(70, 0..3);
+        let in_edges = [EdgeId::new(0), EdgeId::new(1)];
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut expected = rng.clone();
+        let requests = subdivide_requests(
+            &need,
+            &in_edges,
+            &|_| &held,
+            &|_| 3,
+            &uniform_aggregates(70),
+            &mut rng,
+        );
+        assert!(requests.iter().all(TokenSet::is_empty));
+        for _ in 0..need.len() {
+            expected.next_u32();
+        }
+        assert_eq!(rng.next_u64(), expected.next_u64());
+    }
+
+    /// The per-token body [`subdivide_requests`] replaced: it ranks every
+    /// needed token and asks a predicate about each (arc, token) pair.
+    /// Kept as the reference the word-level version must match draw for
+    /// draw.
+    fn subdivide_requests_per_token(
+        need: &TokenSet,
+        in_edges: &[EdgeId],
+        peer_has: &dyn Fn(EdgeId, Token) -> bool,
+        capacity: &dyn Fn(EdgeId) -> u32,
+        aggregates: &AggregateKnowledge,
+        rng: &mut dyn RngCore,
+    ) -> Vec<TokenSet> {
+        let m = need.universe();
+        let mut load: Vec<usize> = vec![0; in_edges.len()];
+        let mut requests: Vec<TokenSet> = vec![TokenSet::new(m); in_edges.len()];
+        for t in rarest_first(need, aggregates, rng) {
+            let mut best: Option<(usize, u32, EdgeId, usize)> = None;
+            for (slot, &e) in in_edges.iter().enumerate() {
+                if load[slot] >= capacity(e) as usize {
+                    continue;
+                }
+                if !peer_has(e, t) {
+                    continue;
+                }
+                let key = (load[slot], rng.next_u32(), e, slot);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+            if let Some((_, _, _, slot)) = best {
+                requests[slot].insert(t);
+                load[slot] += 1;
+            }
+        }
+        requests
+    }
+
+    /// A random subset of `0..m` holding each token with probability
+    /// `percent / 100`.
+    fn random_set(m: usize, percent: u32, rng: &mut StdRng) -> TokenSet {
+        TokenSet::from_tokens(
+            m,
+            (0..m)
+                .filter(|_| rng.random_range(0..100u32) < percent)
+                .map(Token::new),
+        )
+    }
+
+    proptest::proptest! {
+        /// The word-level `subdivide_requests` returns the same request
+        /// sets as the per-token reference and leaves the RNG in the same
+        /// state, over random needs, peer sets (empty, sparse, dense and
+        /// disjoint from the need included), capacities (zero included)
+        /// and rarity ties.
+        #[test]
+        fn subdivide_matches_the_per_token_reference(
+            m in 1usize..=150,
+            arcs in 0usize..=6,
+            need_percent in 0u32..=100,
+            peer_percent in 0u32..=100,
+            disjoint in proptest::bool::ANY,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let need = random_set(m, need_percent, &mut rng);
+            let in_edges: Vec<EdgeId> = (0..arcs).map(|i| EdgeId::new(3 * i + 1)).collect();
+            let peers: Vec<TokenSet> = (0..arcs)
+                .map(|_| {
+                    let mut peer = random_set(m, peer_percent, &mut rng);
+                    if disjoint {
+                        peer.subtract(&need);
+                    }
+                    peer
+                })
+                .collect();
+            let caps: Vec<u32> = (0..arcs).map(|_| rng.random_range(0..=4)).collect();
+            let aggregates = AggregateKnowledge {
+                have_counts: (0..m).map(|_| rng.random_range(0..4)).collect(),
+                need_counts: (0..m).map(|_| rng.random_range(0..3)).collect(),
+            };
+            let slot = |e: EdgeId| (e.index() - 1) / 3;
+            let mut fast_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut reference_rng = fast_rng.clone();
+            let fast = subdivide_requests(
+                &need,
+                &in_edges,
+                &|e| &peers[slot(e)],
+                &|e| caps[slot(e)],
+                &aggregates,
+                &mut fast_rng,
+            );
+            let reference = subdivide_requests_per_token(
+                &need,
+                &in_edges,
+                &|e, t| peers[slot(e)].contains(t),
+                &|e| caps[slot(e)],
+                &aggregates,
+                &mut reference_rng,
+            );
+            proptest::prop_assert_eq!(fast, reference);
+            proptest::prop_assert_eq!(fast_rng.next_u64(), reference_rng.next_u64());
+        }
     }
 }

@@ -22,17 +22,44 @@
 //! 3. **Control delivery** — delayed `Have`/`Request`/`Cancel` messages
 //!    are applied (with a zero-latency control plane they were applied
 //!    the moment they were sent).
-//! 4. **Receiver decisions** (Local policy) — expired request timers
-//!    re-arm with backoff, then each vertex subdivides its outstanding
-//!    need over its in-arcs and sends `Request`s, via the same
+//! 4. **Receiver decisions** (Local policy) — each live vertex whose
+//!    want set is still incomplete (ascending id) re-arms its expired
+//!    request timers with backoff, then subdivides its outstanding need
+//!    over its in-arcs and sends `Request`s, via the same
 //!    [`policy`](ocd_heuristics::policy) code the lockstep strategy
 //!    runs.
-//! 5. **Sender decisions** — each arc (ascending id) drains its queue
-//!    up to capacity, flood-fills the remainder from believed-missing
-//!    tokens (minus in-flight and queued), transmits at most one data
-//!    message, and records the departure in the extracted [`Schedule`].
+//! 5. **Sender decisions** — each dirty arc (ascending id) drains its
+//!    queue up to capacity, flood-fills the remainder from
+//!    believed-missing tokens (minus in-flight and queued), transmits at
+//!    most one data message, and records the departure in the extracted
+//!    [`Schedule`].
 //! 6. **Belief refresh** — periodically each vertex re-announces its
 //!    full possession, repairing beliefs after lost messages.
+//!
+//! # Work lists
+//!
+//! Phases 4 and 5 walk work lists instead of every vertex and arc, and
+//! visit what they hold in the same ascending order as a full scan.
+//! That keeps the RNG stream, and so every output, identical: a vertex
+//! or arc left off a list has nothing to do and would draw nothing.
+//!
+//! - Phase 4 walks the vertices whose want set is incomplete. A vertex
+//!   leaves the list for good once its last want arrives, since
+//!   possession is durable and wants are fixed; a crashed vertex stays
+//!   listed and is skipped while down. Each visit draws one tie-break
+//!   per needed token even when no in-peer holds any of them, and
+//!   visiting every incomplete vertex every tick is also what expires
+//!   its overdue requests on time.
+//! - Phase 5 walks a bitmap of dirty arcs. An arc is marked when its
+//!   source gains tokens, when a `Request` is queued on it, when its
+//!   source restarts, and when one of its in-flight markers falls due
+//!   (each send puts the arc on an expiry calendar at `now + timeout`;
+//!   the markers due expire when the calendar hands the arc back, so
+//!   no visit scans its markers). After its visit an arc stays marked
+//!   only if its budget ran out before its queue or flood candidates
+//!   did. A cancelled token's lazy queue entry therefore keeps its arc
+//!   listed until the entry is popped, so queue depths evolve exactly
+//!   as under a full scan.
 //!
 //! With the default ("ideal") configuration — latency 1, no jitter, no
 //! loss, same-tick control — the phases collapse to exactly the
@@ -229,6 +256,13 @@ struct Runtime<'a> {
     // --- links ---
     data_cal: Calendar<DataMsg>,
     ctrl_cal: Calendar<CtrlMsg>,
+    // --- work lists ---
+    /// Vertices with `missing > 0`, ascending.
+    incomplete: Vec<NodeId>,
+    /// One bit per arc id: the arcs phase 5 visits.
+    dirty: Vec<u64>,
+    /// Arcs by the tick an in-flight marker set on them falls due.
+    expiries: Calendar<EdgeId>,
     // --- progress tracking ---
     aggregates: AggregateKnowledge,
     missing: Vec<usize>,
@@ -294,8 +328,9 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
     let completion_ticks: Vec<Option<u64>> =
         missing.iter().map(|&c| (c == 0).then_some(0)).collect();
     let aggregates = AggregateKnowledge::compute(m, &possession, instance.want_all());
+    let incomplete: Vec<NodeId> = g.nodes().filter(|v| missing[v.index()] > 0).collect();
 
-    let rt = Runtime {
+    let mut rt = Runtime {
         instance,
         config,
         budgets,
@@ -316,6 +351,9 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
         sent_ever: vec![TokenSet::new(m); g.edge_count()],
         data_cal: Calendar::new(),
         ctrl_cal: Calendar::new(),
+        incomplete,
+        dirty: vec![0; g.edge_count().div_ceil(64)],
+        expiries: Calendar::new(),
         aggregates,
         missing,
         remaining,
@@ -326,6 +364,9 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
         lcount: vec![LinkCounters::default(); g.edge_count()],
         provenance: config.record_provenance.then(|| ProvenanceTrace::new(n, m)),
     };
+    for e in g.edge_ids() {
+        rt.mark(e);
+    }
     rt.run(faults, rng, spans)
 }
 
@@ -363,7 +404,9 @@ impl Runtime<'_> {
                 break;
             }
             let phase = spans.open("net.decide");
-            let sent = self.decide(now, rng);
+            let (sent, vertices, arcs) = self.decide(now, rng);
+            spans.attach(phase, "vertices", vertices);
+            spans.attach(phase, "arcs", arcs);
             spans.close(phase);
             let phase = spans.open("net.refresh_haves");
             self.refresh_haves(now, rng);
@@ -475,6 +518,8 @@ impl Runtime<'_> {
             return;
         }
         self.alive[v.index()] = true;
+        // Its beliefs are empty again, so every out-arc may flood.
+        self.mark_out_arcs(v);
         self.event(now, EventKind::Restart, v, None, None, 0);
         // Rejoin: tell the neighborhood what survived on disk.
         self.announce_have(v, now, rng);
@@ -532,6 +577,7 @@ impl Runtime<'_> {
                     self.completion_ticks[dst.index()] = Some(now);
                     self.event(now, EventKind::Complete, dst, None, None, 0);
                 }
+                self.mark_out_arcs(dst);
                 // Announce the enlarged possession to the neighborhood.
                 self.announce_have(dst, now, rng);
             }
@@ -596,6 +642,7 @@ impl Runtime<'_> {
                     }
                     self.queue[e.index()].push_back(t);
                     self.queued_set[e.index()].insert(t);
+                    self.mark(e);
                     let depth = self.queue[e.index()].len();
                     let lc = &mut self.lcount[e.index()];
                     lc.max_queue_depth = lc.max_queue_depth.max(depth);
@@ -613,104 +660,95 @@ impl Runtime<'_> {
 
     // ---------- phase 4+5: decisions ----------
 
-    /// Receiver then sender decisions; returns data tokens transmitted.
-    fn decide(&mut self, now: u64, rng: &mut dyn RngCore) -> u64 {
-        if self.config.policy == NetPolicy::Local {
-            self.receiver_decisions(now, rng);
-        }
-        self.sender_decisions(now, rng)
-    }
-
-    fn receiver_decisions(&mut self, now: u64, rng: &mut dyn RngCore) {
-        let g = self.instance.graph();
-        for vi in 0..self.n {
-            let v = NodeId::new(vi);
-            if !self.alive[vi] {
-                continue;
-            }
-            // Expire overdue requests: the token becomes requestable
-            // again right now, with a longer (backed-off) patience.
-            let overdue: Vec<Token> = self.outstanding_set[vi]
-                .iter()
-                .filter(|t| self.outstanding[vi][t.index()].is_some_and(|o| o.expiry <= now))
-                .collect();
-            for t in overdue {
-                self.outstanding[vi][t.index()] = None;
-                self.outstanding_set[vi].remove(t);
-                self.vcount[vi].request_timeouts += 1;
-                self.event(now, EventKind::RequestTimeout, v, None, None, 1);
-            }
-
-            let mut need = self.instance.want(v).difference(&self.possession[vi]);
-            need.subtract(&self.outstanding_set[vi]);
-            if need.is_empty() {
-                continue;
-            }
-            let in_edges: Vec<EdgeId> = g.in_edges(v).collect();
-            if in_edges.is_empty() {
-                continue;
-            }
-            let assigned = {
-                let belief = &self.belief;
-                let neighbors = &self.neighbors;
-                let peer_has = |e: EdgeId, t: Token| {
-                    let src = g.edge(e).src;
-                    match neighbors[vi].binary_search(&src) {
-                        Ok(slot) => belief[vi][slot].contains(t),
-                        Err(_) => false,
-                    }
-                };
-                subdivide_requests(
-                    &need,
-                    &in_edges,
-                    &peer_has,
-                    &|e| g.capacity(e),
-                    &self.aggregates,
-                    rng,
-                )
-            };
-            for (&e, req) in in_edges.iter().zip(assigned) {
-                if req.is_empty() {
-                    continue;
-                }
-                for t in req.iter() {
-                    let patience = self.config.backoff_timeout(self.attempts[vi][t.index()]);
-                    self.attempts[vi][t.index()] = self.attempts[vi][t.index()].saturating_add(1);
-                    self.outstanding[vi][t.index()] = Some(Outstanding {
-                        edge: e,
-                        expiry: now + patience,
-                    });
-                    self.outstanding_set[vi].insert(t);
-                }
-                let peer = g.edge(e).src;
-                self.send_ctrl(v, peer, CtrlPayload::Request(req), now, rng);
-            }
-        }
-    }
-
-    fn sender_decisions(&mut self, now: u64, rng: &mut dyn RngCore) -> u64 {
-        let g = self.instance.graph();
-        let mut transmitted = 0u64;
-        // Per-tick uplink accounting: every arc of the same sender draws
-        // from one shared budget, so arcs visited later in id order see
-        // whatever their siblings left over.
-        let mut uplink_left: Vec<u64> = match self.budgets {
-            Some(b) => (0..self.n).map(|v| u64::from(b.uplink(v))).collect(),
-            None => Vec::new(),
+    /// Receiver then sender decisions; returns the data tokens
+    /// transmitted and the vertices and arcs the two phases walked.
+    fn decide(&mut self, now: u64, rng: &mut dyn RngCore) -> (u64, u64, u64) {
+        let vertices = if self.config.policy == NetPolicy::Local {
+            self.receiver_decisions(now, rng)
+        } else {
+            0
         };
-        for e in g.edge_ids() {
-            let arc = g.edge(e);
-            let (src, dst) = (arc.src, arc.dst);
-            if !self.alive[src.index()] {
+        let (sent, arcs) = self.sender_decisions(now, rng);
+        (sent, vertices, arcs)
+    }
+
+    /// Visits every live incomplete vertex; returns the list's length.
+    fn receiver_decisions(&mut self, now: u64, rng: &mut dyn RngCore) -> u64 {
+        let missing = &self.missing;
+        self.incomplete.retain(|v| missing[v.index()] > 0);
+        let incomplete = std::mem::take(&mut self.incomplete);
+        for &v in &incomplete {
+            if self.alive[v.index()] {
+                self.receiver_decision(v, now, rng);
+            }
+        }
+        let walked = incomplete.len() as u64;
+        self.incomplete = incomplete;
+        walked
+    }
+
+    fn receiver_decision(&mut self, v: NodeId, now: u64, rng: &mut dyn RngCore) {
+        let g = self.instance.graph();
+        let vi = v.index();
+        // Expire overdue requests: the token becomes requestable
+        // again right now, with a longer (backed-off) patience.
+        let overdue: Vec<Token> = self.outstanding_set[vi]
+            .iter()
+            .filter(|t| self.outstanding[vi][t.index()].is_some_and(|o| o.expiry <= now))
+            .collect();
+        for t in overdue {
+            self.outstanding[vi][t.index()] = None;
+            self.outstanding_set[vi].remove(t);
+            self.vcount[vi].request_timeouts += 1;
+            self.event(now, EventKind::RequestTimeout, v, None, None, 1);
+        }
+
+        let mut need = self.instance.want(v).difference(&self.possession[vi]);
+        need.subtract(&self.outstanding_set[vi]);
+        if need.is_empty() {
+            return;
+        }
+        let in_edges: Vec<EdgeId> = g.in_edges(v).collect();
+        if in_edges.is_empty() {
+            return;
+        }
+        let (belief, neighbors) = (&self.belief[vi], &self.neighbors[vi]);
+        let assigned = subdivide_requests(
+            &need,
+            &in_edges,
+            &|e| match neighbors.binary_search(&g.edge(e).src) {
+                Ok(slot) => &belief[slot],
+                Err(_) => unreachable!("arc endpoints are neighbors"),
+            },
+            &|e| g.capacity(e),
+            &self.aggregates,
+            rng,
+        );
+        for (&e, req) in in_edges.iter().zip(assigned) {
+            if req.is_empty() {
                 continue;
             }
-            let mut cap = arc.capacity as usize;
-            if self.budgets.is_some() {
-                cap = cap.min(usize::try_from(uplink_left[src.index()]).unwrap_or(usize::MAX));
+            for t in req.iter() {
+                let patience = self.config.backoff_timeout(self.attempts[vi][t.index()]);
+                self.attempts[vi][t.index()] = self.attempts[vi][t.index()].saturating_add(1);
+                self.outstanding[vi][t.index()] = Some(Outstanding {
+                    edge: e,
+                    expiry: now + patience,
+                });
+                self.outstanding_set[vi].insert(t);
             }
+            let peer = g.edge(e).src;
+            self.send_ctrl(v, peer, CtrlPayload::Request(req), now, rng);
+        }
+    }
 
-            // Expire in-flight markers: unacknowledged tokens become
-            // floodable again (the data or its Have ack was lost).
+    /// Visits the dirty arcs in ascending id; returns the data tokens
+    /// transmitted and the arcs visited.
+    fn sender_decisions(&mut self, now: u64, rng: &mut dyn RngCore) -> (u64, u64) {
+        // Expire in-flight markers: unacknowledged tokens become
+        // floodable again (the data or its Have ack was lost). Only arcs
+        // with a marker due now can hold an expired one.
+        for e in self.expiries.take(now) {
             let expired: Vec<Token> = self.inflight_set[e.index()]
                 .iter()
                 .filter(|t| {
@@ -721,31 +759,80 @@ impl Runtime<'_> {
                 self.inflight_expiry[e.index()][t.index()] = None;
                 self.inflight_set[e.index()].remove(t);
             }
-
-            // Serve the per-neighbor queue first (FIFO), then flood.
-            let mut send = TokenSet::new(self.m);
-            let mut budget = cap;
-            while budget > 0 {
-                let Some(t) = self.queue[e.index()].pop_front() else {
-                    break;
-                };
-                if !self.queued_set[e.index()].contains(t) {
-                    continue; // canceled while queued
+            self.mark(e);
+        }
+        // Per-tick uplink accounting: every arc of the same sender draws
+        // from one shared budget, so arcs visited later in id order see
+        // whatever their siblings left over.
+        let mut uplink_left: Vec<u64> = match self.budgets {
+            Some(b) => (0..self.n).map(|v| u64::from(b.uplink(v))).collect(),
+            None => Vec::new(),
+        };
+        let (mut transmitted, mut walked) = (0u64, 0u64);
+        for word in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[word]);
+            while bits != 0 {
+                let e = EdgeId::new(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                walked += 1;
+                let (sent, more) = self.sender_decision(e, now, &mut uplink_left, rng);
+                transmitted += sent;
+                if more {
+                    self.mark(e);
                 }
-                self.queued_set[e.index()].remove(t);
-                debug_assert!(self.possession[src.index()].contains(t));
-                send.insert(t);
-                budget -= 1;
             }
+        }
+        (transmitted, walked)
+    }
+
+    /// One arc's turn: returns the data tokens it transmitted and
+    /// whether it still has queued or floodable tokens it had no budget
+    /// for.
+    fn sender_decision(
+        &mut self,
+        e: EdgeId,
+        now: u64,
+        uplink_left: &mut [u64],
+        rng: &mut dyn RngCore,
+    ) -> (u64, bool) {
+        let arc = self.instance.graph().edge(e);
+        let (src, dst) = (arc.src, arc.dst);
+        if !self.alive[src.index()] {
+            return (0, false); // its restart marks it again
+        }
+        let mut cap = arc.capacity as usize;
+        if self.budgets.is_some() {
+            cap = cap.min(usize::try_from(uplink_left[src.index()]).unwrap_or(usize::MAX));
+        }
+
+        // Serve the per-neighbor queue first (FIFO), then flood.
+        let mut send = TokenSet::new(self.m);
+        let mut budget = cap;
+        while budget > 0 {
+            let Some(t) = self.queue[e.index()].pop_front() else {
+                break;
+            };
+            if !self.queued_set[e.index()].contains(t) {
+                continue; // canceled while queued
+            }
+            self.queued_set[e.index()].remove(t);
+            debug_assert!(self.possession[src.index()].contains(t));
+            send.insert(t);
+            budget -= 1;
+        }
+        // A queue left over means the budget ran out first.
+        let mut more = !self.queue[e.index()].is_empty();
+        if !more {
+            let believed = match self.neighbor_slot(src, dst) {
+                Some(slot) => &self.belief[src.index()][slot],
+                None => unreachable!("arc endpoints are neighbors"),
+            };
+            let mut candidates = self.possession[src.index()].difference(believed);
+            candidates.subtract(&send);
+            candidates.subtract(&self.inflight_set[e.index()]);
+            candidates.subtract(&self.queued_set[e.index()]);
+            more = candidates.len() > budget;
             if budget > 0 {
-                let believed = match self.neighbor_slot(src, dst) {
-                    Some(slot) => &self.belief[src.index()][slot],
-                    None => unreachable!("arc endpoints are neighbors"),
-                };
-                let mut candidates = self.possession[src.index()].difference(believed);
-                candidates.subtract(&send);
-                candidates.subtract(&self.inflight_set[e.index()]);
-                candidates.subtract(&self.queued_set[e.index()]);
                 match self.config.policy {
                     NetPolicy::Random => {
                         if !candidates.is_empty() {
@@ -760,46 +847,58 @@ impl Runtime<'_> {
                     }
                 }
             }
-            if send.is_empty() {
-                continue;
-            }
-
-            // One data message per arc per tick, metered by capacity
-            // (and, when budgets apply, by the sender's remaining
-            // uplink — consumed whether or not the message survives
-            // the link).
-            debug_assert!(send.len() <= cap);
-            if self.budgets.is_some() {
-                uplink_left[src.index()] -= send.len() as u64;
-            }
-            let retrans = send.intersection(&self.sent_ever[e.index()]).len() as u64;
-            self.lcount[e.index()].retransmits += retrans;
-            self.sent_ever[e.index()].union_with(&send);
-            for t in send.iter() {
-                self.inflight_expiry[e.index()][t.index()] = Some(now + u64::from(self.timeout));
-            }
-            self.inflight_set[e.index()].union_with(&send);
-            self.recorder.record(now as usize, e, &send);
-            transmitted += send.len() as u64;
-            self.lcount[e.index()].tokens_sent += send.len() as u64;
-            self.vcount[src.index()].sent[MsgKind::Token.index()] += 1;
-            let len = send.len();
-            self.event(now, EventKind::DataSend, src, Some(dst), Some(e), len);
-
-            // A lost message draws no jitter.
-            if self.config.data_lost(rng) {
-                self.lcount[e.index()].tokens_lost += len as u64;
-                self.event(now, EventKind::DataLost, src, Some(dst), Some(e), len);
-                continue;
-            }
-            let msg = DataMsg {
-                edge: e,
-                tokens: send,
-                sent_at: now,
-            };
-            self.data_cal.push(self.config.data_arrival(now, rng), msg);
         }
-        transmitted
+        if send.is_empty() {
+            return (0, more);
+        }
+
+        // One data message per arc per tick, metered by capacity
+        // (and, when budgets apply, by the sender's remaining
+        // uplink — consumed whether or not the message survives
+        // the link).
+        debug_assert!(send.len() <= cap);
+        if self.budgets.is_some() {
+            uplink_left[src.index()] -= send.len() as u64;
+        }
+        let retrans = send.intersection(&self.sent_ever[e.index()]).len() as u64;
+        self.lcount[e.index()].retransmits += retrans;
+        self.sent_ever[e.index()].union_with(&send);
+        let expiry = now + u64::from(self.timeout);
+        for t in send.iter() {
+            self.inflight_expiry[e.index()][t.index()] = Some(expiry);
+        }
+        self.inflight_set[e.index()].union_with(&send);
+        self.expiries.push(expiry, e);
+        self.recorder.record(now as usize, e, &send);
+        let len = send.len();
+        self.lcount[e.index()].tokens_sent += len as u64;
+        self.vcount[src.index()].sent[MsgKind::Token.index()] += 1;
+        self.event(now, EventKind::DataSend, src, Some(dst), Some(e), len);
+
+        // A lost message draws no jitter.
+        if self.config.data_lost(rng) {
+            self.lcount[e.index()].tokens_lost += len as u64;
+            self.event(now, EventKind::DataLost, src, Some(dst), Some(e), len);
+            return (len as u64, more);
+        }
+        let msg = DataMsg {
+            edge: e,
+            tokens: send,
+            sent_at: now,
+        };
+        self.data_cal.push(self.config.data_arrival(now, rng), msg);
+        (len as u64, more)
+    }
+
+    /// Puts arc `e` on phase 5's work list.
+    fn mark(&mut self, e: EdgeId) {
+        self.dirty[e.index() / 64] |= 1 << (e.index() % 64);
+    }
+
+    fn mark_out_arcs(&mut self, v: NodeId) {
+        for e in self.instance.graph().out_edges(v) {
+            self.mark(e);
+        }
     }
 
     // ---------- phase 6: belief refresh ----------
@@ -1277,6 +1376,50 @@ mod tests {
         assert_eq!(plain.schedule, instrumented.schedule);
         assert_eq!(plain.ticks, instrumented.ticks);
         assert_eq!(plain.messages_sent, instrumented.messages_sent);
+    }
+
+    #[test]
+    fn decide_spans_count_the_work_lists_walked() {
+        let instance = single_file(classic::cycle(6, 2, true), 8, 0);
+        let config = NetConfig {
+            policy: NetPolicy::Local,
+            latency: 2,
+            loss: 0.1,
+            ..NetConfig::default()
+        };
+        let decide_counters = || {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut spans = ocd_core::FlightRecorder::logical();
+            run_swarm_with_spans(&instance, &config, &FaultPlan::none(), &mut rng, &mut spans);
+            spans
+                .spans()
+                .iter()
+                .filter(|s| s.name == "net.decide")
+                .map(|s| s.counters.clone())
+                .collect::<Vec<_>>()
+        };
+        let counters = decide_counters();
+        assert_eq!(counters, decide_counters(), "equal seeds, equal counts");
+        assert!(counters
+            .iter()
+            .all(|c| c.iter().map(|(k, _)| *k).eq(["vertices", "arcs"])));
+        let total = |key: &str| -> u64 {
+            counters
+                .iter()
+                .flatten()
+                .filter(|(k, _)| *k == key)
+                .map(|(_, v)| v)
+                .sum()
+        };
+        let spans = counters.len() as u64;
+        let vertex_ticks = instance.num_vertices() as u64 * spans;
+        let arc_ticks = instance.graph().edge_count() as u64 * spans;
+        assert!(total("vertices") > 0 && total("vertices") < vertex_ticks);
+        assert!(
+            total("arcs") < arc_ticks,
+            "idle arcs are skipped: {} of {arc_ticks} arc-ticks",
+            total("arcs")
+        );
     }
 
     #[test]
