@@ -2427,4 +2427,30 @@ mod tests {
             assert_eq!((code, out.as_str()), (1, ""), "{line}");
         }
     }
+
+    #[test]
+    fn deeply_nested_json_inputs_are_typed_errors() {
+        // 200,000 open brackets once overflowed the parser's stack
+        // (exit 134). A bare array fails on its first bracket; under an
+        // unknown key, skipping stops at the nesting cap.
+        let deep = "[".repeat(200_000);
+        let arrays = tmp("nested_arrays.json");
+        std::fs::write(&arrays, &deep).unwrap();
+        let unknown = tmp("nested_unknown.json");
+        std::fs::write(&unknown, format!("{{\"unknown\":{deep}")).unwrap();
+        for (path, message) in [
+            (&arrays, "expected map, got sequence"),
+            (&unknown, "nesting deeper than 128 levels"),
+        ] {
+            for line in [
+                format!("certify --record {path}"),
+                format!("run --instance {path} --strategy random"),
+                format!("bench compare {path} B"),
+            ] {
+                let (code, out, err) = run_fixture_line(&line, "unused");
+                assert!(err.contains(message), "{line}: {err}");
+                assert_eq!((code, out.as_str()), (1, ""), "{line}");
+            }
+        }
+    }
 }

@@ -56,7 +56,7 @@ pub struct StepTrace {
 }
 
 /// One simulation run as a self-contained, self-certifying artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Schema version ([`RUN_RECORD_VERSION`]).
     pub version: u32,

@@ -6,7 +6,6 @@
 //! (union, difference, counting) dominate the simulator's inner loop —
 //! hence a dense bitset with word-parallel operations.
 
-use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
@@ -453,40 +452,91 @@ impl fmt::Debug for TokenSet {
 }
 
 impl Serialize for TokenSet {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        #[derive(Serialize)]
-        struct Repr {
-            universe: u32,
-            tokens: Vec<u32>,
-        }
-        Repr {
-            universe: self.universe,
-            tokens: self.iter().map(|t| t.0).collect(),
-        }
-        .serialize(serializer)
+    /// Writes `{"universe": u, "tokens": [members, ascending]}`.
+    fn serialize<S: Serializer + ?Sized>(&self, serializer: &mut S) -> Result<(), S::Error> {
+        serializer.begin_map()?;
+        serializer.serialize_field("universe", &self.universe)?;
+        serializer.serialize_key("tokens")?;
+        serializer.collect_seq(self.iter().map(|t| t.0))?;
+        serializer.end_map()
     }
 }
 
 impl<'de> Deserialize<'de> for TokenSet {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Repr {
-            universe: u32,
-            tokens: Vec<u32>,
-        }
-        let repr = Repr::deserialize(deserializer)?;
-        let mut set = TokenSet::new(repr.universe as usize);
-        for t in repr.tokens {
-            if t >= repr.universe {
-                return Err(D::Error::custom(format!(
-                    "token {t} outside universe of size {}",
-                    repr.universe
-                )));
+    /// Reads what [`TokenSet::serialize`] writes, under the derived
+    /// impls' rules: keys in any order, a repeated key's last value
+    /// wins, unknown keys are skipped. Members go straight into the
+    /// bitset. A member is an error if it lies outside the final
+    /// universe, or outside a universe read before it: when `universe`
+    /// comes first, as the writer puts it, a hostile member fails as it
+    /// is read instead of growing the bitset.
+    fn deserialize<D: Deserializer<'de> + ?Sized>(deserializer: &mut D) -> Result<Self, D::Error> {
+        let (mut universe, mut blocks) = (None, None);
+        deserializer.begin_map()?;
+        while let Some(key) = deserializer.next_key()? {
+            match key {
+                "universe" => universe = Some(u32::deserialize(deserializer)?),
+                "tokens" => blocks = Some(read_members(deserializer, universe)?),
+                _ => deserializer.skip_value()?,
             }
-            set.insert(Token(t));
         }
-        Ok(set)
+        let universe = serde::de::finish_field::<_, D::Error>(universe, "TokenSet", "universe")?;
+        let mut blocks: Vec<u64> =
+            serde::de::finish_field::<_, D::Error>(blocks, "TokenSet", "tokens")?;
+        if let Some(t) = lowest_member_from(&blocks, universe as usize) {
+            return Err(outside_universe(t, universe));
+        }
+        // Every bit at or above the universe is clear, so trimming or
+        // padding to the universe's block count keeps the members.
+        blocks.resize((universe as usize).div_ceil(BITS), 0);
+        Ok(TokenSet { universe, blocks })
     }
+}
+
+fn outside_universe<E: serde::de::Error>(t: usize, universe: u32) -> E {
+    E::custom(format_args!(
+        "token {t} outside universe of size {universe}"
+    ))
+}
+
+/// Reads a `tokens` array into bitset blocks. Against a known
+/// `universe`, a member outside it is an error as soon as it is read,
+/// before it can grow the blocks past the universe.
+fn read_members<'de, D: Deserializer<'de> + ?Sized>(
+    deserializer: &mut D,
+    universe: Option<u32>,
+) -> Result<Vec<u64>, D::Error> {
+    let mut blocks = vec![0; universe.map_or(0, |u| (u as usize).div_ceil(BITS))];
+    deserializer.begin_seq()?;
+    while deserializer.next_element()? {
+        let t = u32::deserialize(deserializer)?;
+        if let Some(u) = universe.filter(|&u| t >= u) {
+            return Err(outside_universe(t as usize, u));
+        }
+        let (block, bit) = (t as usize / BITS, t as usize % BITS);
+        if block >= blocks.len() {
+            blocks.resize(block + 1, 0);
+        }
+        blocks[block] |= 1 << bit;
+    }
+    Ok(blocks)
+}
+
+/// The lowest member of the bitset `blocks` at or above `from`.
+fn lowest_member_from(blocks: &[u64], from: usize) -> Option<usize> {
+    let first = from / BITS;
+    blocks
+        .iter()
+        .enumerate()
+        .skip(first)
+        .find_map(|(i, &block)| {
+            let block = if i == first {
+                block & (u64::MAX << (from % BITS))
+            } else {
+                block
+            };
+            (block != 0).then(|| i * BITS + block.trailing_zeros() as usize)
+        })
 }
 
 #[cfg(test)]
@@ -669,5 +719,44 @@ mod tests {
     fn serde_rejects_out_of_universe() {
         let bad = r#"{"universe": 5, "tokens": [7]}"#;
         assert!(serde_json::from_str::<TokenSet>(bad).is_err());
+    }
+
+    #[test]
+    fn serde_reads_keys_in_any_order() {
+        let expected = TokenSet::from_tokens(130, [Token(0), Token(64), Token(129)]);
+        for json in [
+            r#"{"universe": 130, "tokens": [129, 0, 64]}"#,
+            r#"{"tokens": [129, 0, 64], "universe": 130}"#,
+            r#"{"tokens": [1], "extra": [{}], "tokens": [0, 129, 64], "universe": 2, "universe": 130}"#,
+        ] {
+            assert_eq!(
+                serde_json::from_str::<TokenSet>(json).unwrap(),
+                expected,
+                "{json}"
+            );
+        }
+        for (json, message) in [
+            (
+                r#"{"universe": 3, "tokens": [1, 5, 4]}"#,
+                "token 5 outside universe of size 3",
+            ),
+            (
+                r#"{"tokens": [1, 200, 70], "universe": 64}"#,
+                "token 70 outside universe of size 64",
+            ),
+            (
+                r#"{"tokens": []}"#,
+                "missing field `universe` of struct TokenSet",
+            ),
+            (
+                r#"{"universe": 3}"#,
+                "missing field `tokens` of struct TokenSet",
+            ),
+        ] {
+            let err = serde_json::from_str::<TokenSet>(json)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(err, message, "{json}");
+        }
     }
 }

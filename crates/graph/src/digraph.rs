@@ -121,24 +121,27 @@ pub struct DiGraph {
 /// index are derived, so deserialization rebuilds them — re-validating the
 /// invariants and rejecting duplicate arcs outright (a duplicated arc in a
 /// hand-edited file is a data error, not a request to merge capacities).
-#[derive(Serialize, Deserialize)]
+/// Serialization writes the same two fields straight from the graph.
+#[derive(Deserialize)]
 struct DiGraphRepr {
     node_count: usize,
     edges: Vec<Edge>,
 }
 
 impl Serialize for DiGraph {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        DiGraphRepr {
-            node_count: self.node_count(),
-            edges: self.edges().collect(),
-        }
-        .serialize(serializer)
+    fn serialize<S: serde::Serializer + ?Sized>(&self, serializer: &mut S) -> Result<(), S::Error> {
+        serializer.begin_map()?;
+        serializer.serialize_field("node_count", &self.node_count())?;
+        serializer.serialize_key("edges")?;
+        serializer.collect_seq(self.edges())?;
+        serializer.end_map()
     }
 }
 
 impl<'de> Deserialize<'de> for DiGraph {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+    fn deserialize<D: serde::Deserializer<'de> + ?Sized>(
+        deserializer: &mut D,
+    ) -> Result<Self, D::Error> {
         use serde::de::Error as _;
         let repr = DiGraphRepr::deserialize(deserializer)?;
         DiGraph::from_edges(repr.node_count, repr.edges)
