@@ -127,7 +127,7 @@ fn broadcast_row(
 }
 
 fn main() {
-    let args = ExpArgs::from_env();
+    let (args, full) = ExpArgs::from_env_with(" [--full]", |f| f.switch("full"));
     let mut table = Table::new(COLUMNS);
 
     // ---- section 1: Theorem 4 adversarial family -------------------
@@ -228,7 +228,7 @@ fn main() {
         scaled.push((8, 1000, 1, 1, big.clone()));
         scaled.push((8, 1000, 4, 1, big.clone()));
     }
-    if args.full {
+    if full {
         scaled.push((8, 2000, 1, 1, big));
     }
     for (parts, peers, server_up, peer_up, kinds) in scaled {

@@ -28,6 +28,7 @@
 //! Usage: `table_exact [--quick | --full] [--seed <u64>] [--out <dir>]
 //! [--threads <t>] [--emit <file>]`
 
+use ocd_bench::args::ExpArgs;
 use ocd_bench::table::Table;
 use ocd_core::bounds::{counting_makespan_lower_bound, makespan_lower_bound};
 use ocd_core::{Instance, NodeBudgets, Schedule, TokenSet};
@@ -45,58 +46,6 @@ const DENSE_CELL_LIMIT: usize = 2_000_000;
 
 /// Tokens broadcast from vertex 0 in every instance.
 const PARTS: usize = 2;
-
-struct Args {
-    quick: bool,
-    full: bool,
-    seed: u64,
-    out_dir: String,
-    threads: usize,
-    emit: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        quick: false,
-        full: false,
-        seed: 2005,
-        out_dir: "results".to_string(),
-        threads: 1,
-        emit: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    let value = |iter: &mut dyn Iterator<Item = String>, flag: &str| {
-        iter.next().ok_or(format!("{flag} requires a value"))
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => out.quick = true,
-            "--full" => out.full = true,
-            "--seed" => {
-                let v = value(&mut iter, "--seed")?;
-                out.seed = v.parse().map_err(|_| format!("invalid seed `{v}`"))?;
-            }
-            "--out" => out.out_dir = value(&mut iter, "--out")?,
-            "--threads" => {
-                let v = value(&mut iter, "--threads")?;
-                out.threads = v.parse().map_err(|_| format!("invalid threads `{v}`"))?;
-                if out.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
-            "--emit" => out.emit = Some(value(&mut iter, "--emit")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: [--quick | --full] [--seed <u64>] [--out <dir>] [--threads <t>] \
-                     [--emit <file>]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(out)
-}
 
 /// One entry of the determinism artifact: everything the solve decided,
 /// nothing the clock measured.
@@ -150,14 +99,15 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
+    let usage = " [--full] [--threads <t>] [--emit <file>]";
+    let (args, (full, threads, emit)) = ExpArgs::from_env_with(usage, |f| {
+        let threads: usize = f.opt("threads", 1)?;
+        if threads == 0 {
+            return Err("--threads must be at least 1".to_string());
         }
-    };
-    let sizes: &[usize] = match (args.quick, args.full) {
+        Ok((f.switch("full")?, threads, f.value("emit")?))
+    });
+    let sizes: &[usize] = match (args.quick, full) {
         (true, _) => &[8, 16],
         (false, false) => &[8, 16, 32, 50, 64],
         (false, true) => &[8, 16, 32, 50, 64, 80, 100],
@@ -176,7 +126,7 @@ fn main() {
     // `(n, regime)` — never of the clock — so the emitted artifact
     // stays byte-identical across thread counts.
     let mip_for = |n: usize, budgeted: bool| MipOptions {
-        threads: args.threads,
+        threads,
         absolute_gap: 1e12,
         node_limit: match (args.quick, budgeted) {
             (true, _) => (8_000 / n).clamp(200, 1_000),
@@ -187,7 +137,7 @@ fn main() {
     };
     println!(
         "exact anchors: G(n, 2 ln n / n), {PARTS} parts, threads = {}, sizes = {sizes:?}\n",
-        args.threads
+        threads
     );
     let mut table = Table::new([
         "topology",
@@ -317,7 +267,7 @@ fn main() {
     table
         .write_csv(format!("{}/table_exact.csv", args.out_dir))
         .expect("write csv");
-    if let Some(path) = &args.emit {
+    if let Some(path) = &emit {
         let json = serde_json::to_string_pretty(&records).expect("serialize records");
         std::fs::write(path, json).expect("write determinism artifact");
         println!("wrote determinism artifact to {path}");

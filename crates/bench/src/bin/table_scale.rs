@@ -17,6 +17,7 @@
 //! Usage: `table_scale [--quick | --full] [--seed <u64>] [--out <dir>]
 //! [--shards <n>] [--tokens <m>] [--emit-schedules <dir>]`
 
+use ocd_bench::args::ExpArgs;
 use ocd_bench::table::Table;
 use ocd_core::scenario::single_file;
 use ocd_core::Instance;
@@ -26,67 +27,6 @@ use ocd_heuristics::{
     simulate, Sharded, ShardedLocal, ShardedRandom, ShardedTreeStripe, SimConfig, Strategy,
 };
 use rand::prelude::*;
-
-struct Args {
-    quick: bool,
-    full: bool,
-    seed: u64,
-    out_dir: String,
-    shards: usize,
-    tokens: usize,
-    emit_schedules: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        quick: false,
-        full: false,
-        seed: 2005,
-        out_dir: "results".to_string(),
-        shards: std::thread::available_parallelism().map_or(1, |c| c.get()),
-        tokens: 64,
-        emit_schedules: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    let value = |iter: &mut dyn Iterator<Item = String>, flag: &str| {
-        iter.next().ok_or(format!("{flag} requires a value"))
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => out.quick = true,
-            "--full" => out.full = true,
-            "--seed" => {
-                let v = value(&mut iter, "--seed")?;
-                out.seed = v.parse().map_err(|_| format!("invalid seed `{v}`"))?;
-            }
-            "--out" => out.out_dir = value(&mut iter, "--out")?,
-            "--shards" => {
-                let v = value(&mut iter, "--shards")?;
-                out.shards = v.parse().map_err(|_| format!("invalid shards `{v}`"))?;
-                if out.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-            }
-            "--tokens" => {
-                let v = value(&mut iter, "--tokens")?;
-                out.tokens = v.parse().map_err(|_| format!("invalid tokens `{v}`"))?;
-                if out.tokens == 0 {
-                    return Err("--tokens must be at least 1".to_string());
-                }
-            }
-            "--emit-schedules" => out.emit_schedules = Some(value(&mut iter, "--emit-schedules")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: [--quick | --full] [--seed <u64>] [--out <dir>] [--shards <n>] \
-                     [--tokens <m>] [--emit-schedules <dir>]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(out)
-}
 
 fn strategies(shards: usize) -> Vec<Box<dyn Strategy>> {
     vec![
@@ -106,22 +46,32 @@ fn build_topology(kind: &str, n: usize, seed: u64) -> DiGraph {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
+    let usage = " [--full] [--shards <n>] [--tokens <m>] [--emit-schedules <dir>]";
+    let (args, (full, shards, m, emit_schedules)) = ExpArgs::from_env_with(usage, |f| {
+        let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let shards: usize = f.opt("shards", cpus)?;
+        if shards == 0 {
+            return Err("--shards must be at least 1".to_string());
         }
-    };
-    let sizes: &[usize] = match (args.quick, args.full) {
+        let tokens: usize = f.opt("tokens", 64)?;
+        if tokens == 0 {
+            return Err("--tokens must be at least 1".to_string());
+        }
+        Ok((
+            f.switch("full")?,
+            shards,
+            tokens,
+            f.value("emit-schedules")?,
+        ))
+    });
+    let sizes: &[usize] = match (args.quick, full) {
         (true, _) => &[10_000],
         (false, false) => &[10_000, 100_000],
         (false, true) => &[10_000, 100_000, 1_000_000],
     };
-    let m = args.tokens;
     println!(
         "scale sweep: m = {m} tokens, shards = {}, sizes = {sizes:?}\n",
-        args.shards
+        shards
     );
     let mut table = Table::new([
         "topology",
@@ -147,7 +97,7 @@ fn main() {
                 build_start.elapsed().as_secs_f64()
             );
             let instance: Instance = single_file(g, m, 0);
-            for mut strategy in strategies(args.shards) {
+            for mut strategy in strategies(shards) {
                 let mut rng = StdRng::seed_from_u64(args.seed);
                 let report = simulate(
                     &instance,
@@ -167,7 +117,7 @@ fn main() {
                     report.steps,
                     report.bandwidth
                 );
-                if let Some(dir) = &args.emit_schedules {
+                if let Some(dir) = &emit_schedules {
                     std::fs::create_dir_all(dir).expect("create schedule dir");
                     let path = format!("{dir}/{kind}_{}_n{actual_n}.json", strategy.name());
                     let json = serde_json::to_string(&report.schedule).expect("serialize schedule");

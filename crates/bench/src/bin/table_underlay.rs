@@ -39,7 +39,6 @@ fn main() {
     ];
     let config = SimConfig {
         max_steps: 50_000,
-        metrics: true,
         ..Default::default()
     };
     // The trailing metrics column group (`util_max`, `util_mean`) is
@@ -92,13 +91,10 @@ fn main() {
             let mut s2 = kind.build();
             let mut rng2 = StdRng::seed_from_u64(args.seed ^ r);
             let mut medium = PhysicalUnderlay::new(&physical, &mapping);
-            let constrained =
-                simulate_with(&instance, s2.as_mut(), &mut medium, &config, &mut rng2).to_record(
-                    &instance,
-                    kind.name(),
-                    "physical-underlay",
-                    args.seed ^ r,
-                );
+            let outcome = simulate_with(&instance, s2.as_mut(), &mut medium, &config, &mut rng2);
+            let mut constrained =
+                outcome.to_record(&instance, kind.name(), "physical-underlay", args.seed ^ r);
+            constrained.metrics = Some(outcome.metrics_snapshot(&instance));
             assert!(constrained.success, "{kind} failed under admission");
             constrained.certify().expect("underlay record re-validates");
             if r == 0 {
@@ -110,7 +106,7 @@ fn main() {
                 .metrics
                 .as_ref()
                 .and_then(|snap| snap.series("engine.arc_tokens"))
-                .expect("metrics-enabled record embeds the utilization series");
+                .expect("the record embeds the utilization series");
             util_max.push(arc_tokens.iter().copied().max().unwrap_or(0));
             util_mean.push(arc_tokens.iter().sum::<u64>() / (arc_tokens.len().max(1) as u64));
             overlay_moves.push(pure.steps as u64);

@@ -16,18 +16,22 @@
 //! | `table_optimal_small` | §3.4 exact optima vs heuristics on small graphs |
 //! | `table_competitive_gap` | Theorem 4 (no c-competitive on-line algorithm) |
 //!
-//! All binaries accept `--quick` for a reduced sweep (CI-sized) and
-//! `--seed <u64>` to change the master seed. The library half of the
-//! crate hosts the shared machinery: multi-seed parallel evaluation
-//! ([`runner`]), summary statistics ([`stats`]), aligned-table/CSV
-//! output ([`table`]), and the perf-trajectory snapshot gate
-//! ([`compare`], exposed as `ocd bench compare`).
+//! All binaries accept `--quick` for a reduced sweep (CI-sized),
+//! `--seed <u64>` to change the master seed, `--out <dir>` for the CSV
+//! directory and `--help`; a flag a binary does not read is a usage
+//! error ([`args`]). The library half of the crate hosts the shared
+//! machinery: the flag reader shared with the `ocd` CLI ([`flags`]),
+//! multi-seed parallel evaluation ([`runner`]), summary statistics
+//! ([`stats`]), aligned-table/CSV output ([`table`]), and the
+//! perf-trajectory snapshot gate ([`compare`], exposed as
+//! `ocd bench compare`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod args;
 pub mod compare;
+pub mod flags;
 pub mod runner;
 pub mod stats;
 pub mod table;

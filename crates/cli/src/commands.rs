@@ -2,7 +2,7 @@
 //! own flags, then returns the work to run as a [`Job`]; [`parse`]
 //! rejects any flag the subcommand never read before the job runs.
 
-use crate::flags::Flags;
+use ocd_bench::flags::Flags;
 use ocd_core::span::{FlightRecorder, SpanRecorder};
 use ocd_core::{bounds, prune, Instance, MetricsSnapshot, ProvenanceTrace, RlncInstance, Schedule};
 use ocd_graph::generate::{classic, gnp, transit_stub, GnpConfig, TransitStubConfig};
@@ -255,13 +255,6 @@ fn run(f: &mut Flags) -> Result<Job, String> {
     let config = SimConfig {
         max_steps,
         knowledge_delay: delay,
-        // `--metrics` snapshots are derived from the run, so equal-seed
-        // invocations write byte-identical files.
-        metrics: metrics.is_some(),
-        // `--record` artifacts embed the causal provenance digest
-        // (RunRecord schema v3), which `certify` cross-checks against a
-        // schedule replay.
-        provenance: record.is_some(),
     };
     Ok(Box::new(move || {
         let instance = load_instance(&path)?;
@@ -331,14 +324,22 @@ fn run(f: &mut Flags) -> Result<Job, String> {
         if let Some(path) = &schedule {
             write_schedule(&mut out, path, &report.schedule)?;
         }
+        // `--metrics` snapshots are derived from the run, so equal-seed
+        // invocations write byte-identical files.
+        let metrics = metrics.map(|path| (path, outcome.metrics_snapshot(&instance)));
         if let Some(path) = &record {
-            let rec = outcome.to_record(&instance, kind.name(), &medium, seed);
+            let mut rec = outcome.to_record(&instance, kind.name(), &medium, seed);
+            // The causal provenance digest (RunRecord schema v3), which
+            // `certify` cross-checks against a schedule replay.
+            let trace = ProvenanceTrace::from_schedule(&instance, &report.schedule);
+            rec.provenance = Some(trace.to_record());
+            rec.metrics = metrics.as_ref().map(|(_, snap)| snap.clone());
             rec.write_json(path.as_ref())
                 .map_err(|e| format!("write {path}: {e}"))?;
             let _ = writeln!(out, "run record written to {path}");
         }
-        if let Some(path) = &metrics {
-            write_metrics(&mut out, path, outcome.metrics.as_ref())?;
+        if let Some((path, snap)) = &metrics {
+            write_metrics(&mut out, path, snap)?;
         }
         Ok(out)
     }))
@@ -442,12 +443,8 @@ fn coded(f: &mut Flags) -> Result<Job, String> {
     let max_steps = f.opt("max-steps", 10_000)?;
     let provenance = f.switch("provenance")?;
     let metrics = f.value("metrics")?;
-    // Like `ocd run --metrics`: the coded recorder only books
-    // deterministic counters, so equal seeds produce byte-identical
-    // snapshots.
     let config = CodedSimConfig {
         max_steps,
-        metrics: metrics.is_some(),
         provenance,
     };
     Ok(Box::new(move || {
@@ -543,8 +540,11 @@ fn coded(f: &mut Flags) -> Result<Job, String> {
                 let _ = writeln!(out, "  vertex {v}: {} arcs {{{rendered}}}", arcs.len());
             }
         }
+        // Like `ocd run --metrics`: the snapshot holds only the report's
+        // deterministic counters, so equal seeds write byte-identical
+        // files.
         if let Some(path) = &metrics {
-            write_metrics(&mut out, path, outcome.metrics.as_ref())?;
+            write_metrics(&mut out, path, &r.metrics_snapshot())?;
         }
         Ok(out)
     }))
@@ -1070,12 +1070,7 @@ fn write_schedule(out: &mut String, path: &str, schedule: &Schedule) -> Result<(
 }
 
 /// Writes a `--metrics` snapshot and says so on `out`.
-fn write_metrics(
-    out: &mut String,
-    path: &str,
-    snap: Option<&MetricsSnapshot>,
-) -> Result<(), String> {
-    let snap = snap.expect("--metrics enables collection");
+fn write_metrics(out: &mut String, path: &str, snap: &MetricsSnapshot) -> Result<(), String> {
     write_csv_or_json(path, || snap.to_csv(), || snap.to_json())?;
     let _ = writeln!(out, "metrics snapshot written to {path} ({})", shape(snap));
     Ok(())

@@ -22,7 +22,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod commands;
-mod flags;
 
 use std::io::Write;
 

@@ -30,9 +30,9 @@
 //! - [`gf256`] and [`rlnc`]: the §6 redundancy story made real —
 //!   GF(2^8) arithmetic and random linear network coding with a
 //!   rank-tracked [`CodedBasis`] (the coded analogue of [`TokenSet`]).
-//! - [`metrics`]: the suite-wide observability layer — a dependency-free
-//!   registry of counters/gauges/log2-histograms that every execution
-//!   layer fills after its run, from what the run returns.
+//! - [`metrics`]: the suite-wide observability layer — a name-sorted
+//!   snapshot of counters/gauges/log2-histograms/series that every
+//!   execution layer builds after its run, from what the run returns.
 //! - [`span`]: the flight-recorder layer — named, nested, timed spans
 //!   with attached counters and an instantaneous event stream behind a
 //!   zero-cost [`SpanRecorder`], the one probe a hot loop takes,
@@ -89,7 +89,7 @@ pub mod validate;
 
 pub use budgets::NodeBudgets;
 pub use instance::{Instance, InstanceBuilder, InstanceError, InstanceStats};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use provenance::{ProvenanceRecord, ProvenanceTrace};
 pub use record::{RecordError, RunRecord, StepTrace};
 pub use rlnc::{CodedBasis, CodedPacket, RlncInstance};

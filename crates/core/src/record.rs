@@ -467,10 +467,7 @@ mod tests {
         // A version-2 artifact carries metrics but no `provenance` key.
         let mut record = sample_record();
         record.version = 2;
-        let mut reg = crate::metrics::MetricsRegistry::new();
-        let c = reg.counter("engine.moves");
-        reg.add(c, 2);
-        record.metrics = Some(reg.snapshot());
+        record.metrics = Some(MetricsSnapshot::new([("engine.moves", 2)], [], [], []));
         let v2_json = record
             .to_json()
             .unwrap()

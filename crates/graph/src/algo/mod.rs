@@ -11,7 +11,6 @@ mod connectivity;
 mod diameter;
 mod dijkstra;
 mod dominating;
-mod mst;
 mod steiner;
 mod union_find;
 
@@ -25,7 +24,6 @@ pub use dijkstra::{dijkstra, shortest_path, PathCost};
 pub use dominating::{
     dominating_set_exact, dominating_set_greedy, has_dominating_set_of_size, is_dominating_set,
 };
-pub use mst::{minimum_spanning_arborescence_cost, minimum_spanning_tree_undirected};
 pub use steiner::{steiner_tree_approx, SteinerTree};
 pub use union_find::UnionFind;
 

@@ -2,8 +2,8 @@
 
 /// A union-find (disjoint-set) structure over `0..n`.
 ///
-/// Used by Kruskal's MST and by generators that must stitch a sampled
-/// graph into a connected one.
+/// Used by generators that must stitch a sampled graph into a
+/// connected one.
 ///
 /// # Examples
 ///

@@ -10,8 +10,8 @@
 //!   §3.1. Adding a parallel arc merges it into the existing arc by summing
 //!   capacities, exactly as the paper prescribes for multi-arcs.
 //! - Algorithms ([`algo`]): BFS distances, Dijkstra, connectivity,
-//!   diameter/eccentricity, minimum spanning trees, union-find, dominating
-//!   sets (greedy and exact), and a directed Steiner-tree heuristic.
+//!   diameter/eccentricity, union-find, dominating sets (greedy and
+//!   exact), and a directed Steiner-tree heuristic.
 //! - Generators ([`generate`]): classic families, `G(n, p)` random graphs in
 //!   the paper's `p = 2 ln n / n` regime, and a GT-ITM-style transit-stub
 //!   generator standing in for the paper's GT-ITM topologies.

@@ -7,8 +7,9 @@
 //! [`Medium`](crate::Medium), whose admission contract is token-set
 //! shaped and therefore cannot carry coefficient-vector packets), and
 //! the metrics snapshot is derived after the run from the report's
-//! counters. Provenance alone is recorded inside the loop, into an
-//! `Option<ProvenanceTrace>`, because no schedule can rebuild it.
+//! counters ([`CodedSimReport::metrics_snapshot`]). Provenance alone is
+//! recorded inside the loop, into an `Option<ProvenanceTrace>`, because
+//! no schedule can rebuild it.
 //!
 //! The per-vertex state is a [`CodedBasis`] instead of a
 //! [`TokenSet`]: senders emit random combinations
@@ -26,7 +27,7 @@
 //! [`ProvenanceTrace::contributing_arcs`] reads off the *set* of arcs
 //! whose packets entered each decoding basis.
 
-use ocd_core::metrics::{MetricsRegistry, MetricsSnapshot};
+use ocd_core::metrics::MetricsSnapshot;
 use ocd_core::provenance::ProvenanceTrace;
 use ocd_core::rlnc::{CodedBasis, CodedPacket, RlncInstance};
 use ocd_core::{Token, TokenSet};
@@ -271,8 +272,6 @@ impl CodedStrategy for CodedLocal {
 pub struct CodedSimConfig {
     /// Hard step cap.
     pub max_steps: usize,
-    /// Collect a [`MetricsSnapshot`].
-    pub metrics: bool,
     /// Record slot-indexed coded provenance.
     pub provenance: bool,
 }
@@ -281,7 +280,6 @@ impl Default for CodedSimConfig {
     fn default() -> Self {
         CodedSimConfig {
             max_steps: 10_000,
-            metrics: false,
             provenance: false,
         }
     }
@@ -314,13 +312,31 @@ pub struct CodedSimReport {
     pub decode_ok: bool,
 }
 
-/// A coded run's report plus optional instrumentation artifacts.
+impl CodedSimReport {
+    /// The `coded.*` metrics of the run: the report's five packet and
+    /// byte counters.
+    #[must_use]
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot::new(
+            [
+                ("coded.packets_sent", self.packets_sent),
+                ("coded.innovative_deliveries", self.innovative_deliveries),
+                ("coded.redundant_deliveries", self.redundant_deliveries),
+                ("coded.packets_lost", self.packets_lost),
+                ("coded.bytes_sent", self.bytes_sent),
+            ],
+            [],
+            [],
+            [],
+        )
+    }
+}
+
+/// A coded run's report plus its optional provenance trace.
 #[derive(Debug, Clone)]
 pub struct CodedOutcome {
     /// Outcome counters.
     pub report: CodedSimReport,
-    /// Snapshot when [`CodedSimConfig::metrics`] was set.
-    pub metrics: Option<MetricsSnapshot>,
     /// Slot-indexed trace when [`CodedSimConfig::provenance`] was set.
     pub provenance: Option<ProvenanceTrace>,
 }
@@ -335,10 +351,9 @@ pub fn simulate_coded(
     simulate_coded_with(instance, strategy, &mut IdealCoded, config, rng)
 }
 
-/// Runs a coded strategy over an explicit [`CodedMedium`]. The
-/// [`CodedSimConfig::metrics`] snapshot holds the report's five
-/// counters; [`CodedSimConfig::provenance`] records the slot-indexed
-/// trace as the loop runs.
+/// Runs a coded strategy over an explicit [`CodedMedium`].
+/// [`CodedSimConfig::provenance`] records the slot-indexed trace as the
+/// loop runs.
 ///
 /// # Panics
 ///
@@ -450,27 +465,7 @@ pub fn simulate_coded_with<M: CodedMedium>(
         && g.nodes()
             .all(|v| !receiver[v.index()] || instance.decodes_correctly(&bases[v.index()]));
     report.completion_steps = completion;
-    CodedOutcome {
-        metrics: config.metrics.then(|| coded_metrics(&report)),
-        report,
-        provenance,
-    }
-}
-
-/// The `coded.*` metrics of a finished run: the report's counters.
-fn coded_metrics(report: &CodedSimReport) -> MetricsSnapshot {
-    let mut reg = MetricsRegistry::new();
-    for (name, value) in [
-        ("coded.packets_sent", report.packets_sent),
-        ("coded.innovative_deliveries", report.innovative_deliveries),
-        ("coded.redundant_deliveries", report.redundant_deliveries),
-        ("coded.packets_lost", report.packets_lost),
-        ("coded.bytes_sent", report.bytes_sent),
-    ] {
-        let id = reg.counter(name);
-        reg.add(id, value);
-    }
-    reg.snapshot()
+    CodedOutcome { report, provenance }
 }
 
 #[cfg(test)]
@@ -616,7 +611,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let config = CodedSimConfig {
             provenance: true,
-            metrics: true,
             ..CodedSimConfig::default()
         };
         let out = simulate_coded(&inst, &mut CodedRandom::new(1.0), &config, &mut rng);
@@ -638,7 +632,7 @@ mod tests {
             assert!(lineage.iter().all(|&e| inst.graph().edge(e).dst == v));
         }
         // Metrics agree with the report.
-        let metrics = out.metrics.expect("metrics requested");
+        let metrics = out.report.metrics_snapshot();
         assert_eq!(
             metrics.counter("coded.innovative_deliveries"),
             Some(out.report.innovative_deliveries)

@@ -10,8 +10,8 @@
 //! The loop takes one instrumentation probe, a [`SpanRecorder`]
 //! ([`simulate_with_spans`]). Metrics and provenance are not recorded
 //! inside it: both are derived from the finished run, which already
-//! holds everything they report (see [`SimConfig::metrics`] and
-//! [`SimConfig::provenance`]).
+//! holds everything they report ([`SimOutcome::metrics_snapshot`] and
+//! [`ProvenanceTrace::from_schedule`](ocd_core::ProvenanceTrace::from_schedule)).
 //!
 //! The loop is written to be **incremental and allocation-free in
 //! steady state**: aggregate knowledge is maintained by counter updates
@@ -27,8 +27,7 @@
 use crate::medium::{Ideal, Medium};
 use crate::{Strategy, WorldView};
 use ocd_core::knowledge::{AggregateKnowledge, DelayedAggregates};
-use ocd_core::metrics::{MetricsRegistry, MetricsSnapshot};
-use ocd_core::provenance::ProvenanceTrace;
+use ocd_core::metrics::{HistogramSnapshot, MetricsSnapshot, SeriesSnapshot};
 use ocd_core::record::{RunRecord, StepTrace, RUN_RECORD_VERSION};
 use ocd_core::span::{NoopSpans, SpanRecorder};
 use ocd_core::{Instance, Schedule, Timestep, TokenSet};
@@ -45,18 +44,6 @@ pub struct SimConfig {
     /// strategies see — the paper's "state `k` turns ago" relaxation
     /// (§5.1). 0 = fresh aggregates, the paper's default assumption.
     pub knowledge_delay: usize,
-    /// Attach a [`MetricsSnapshot`] (headline counters, the per-step
-    /// move histogram, per-arc and per-vertex utilization series,
-    /// instance-shape gauges) to the outcome, derived from the finished
-    /// run. Fully deterministic: equal-seed runs snapshot
-    /// byte-identically. Off by default; the loop itself never records
-    /// metrics, so off costs nothing.
-    pub metrics: bool,
-    /// Attach the causal token provenance (the first-acquisition
-    /// forest; see [`ocd_core::provenance`]) to the outcome, derived
-    /// from the run's schedule by [`ProvenanceTrace::from_schedule`].
-    /// Fully deterministic. Off by default.
-    pub provenance: bool,
 }
 
 impl Default for SimConfig {
@@ -64,8 +51,6 @@ impl Default for SimConfig {
         SimConfig {
             max_steps: 10_000,
             knowledge_delay: 0,
-            metrics: false,
-            provenance: false,
         }
     }
 }
@@ -145,21 +130,16 @@ pub struct SimOutcome {
     /// Token-moves rejected by admission control, per step; empty
     /// unless the medium [records it](Medium::records_rejections).
     pub rejected_per_step: Vec<u64>,
-    /// Metrics snapshot of the run; `None` unless
-    /// [`SimConfig::metrics`] was set.
-    pub metrics: Option<MetricsSnapshot>,
-    /// Causal token-provenance trace of the run; `None` unless
-    /// [`SimConfig::provenance`] was set. Derived from the outcome's
-    /// schedule by [`ProvenanceTrace::from_schedule`].
-    pub provenance: Option<ProvenanceTrace>,
 }
 
 impl SimOutcome {
     /// Builds the shared [`RunRecord`] artifact: the instance, the
-    /// schedule, every recorded metric, and the medium extras, in the
-    /// JSON schema every layer of the suite emits and consumes.
+    /// schedule, the per-step trace, and the medium extras, in the JSON
+    /// schema every layer of the suite emits and consumes.
     /// [`RunRecord::certify`] can re-validate the run from the artifact
-    /// alone.
+    /// alone. The derived `metrics` and `provenance` fields are left
+    /// empty for the caller to fill: from [`SimOutcome::metrics_snapshot`]
+    /// and [`ProvenanceTrace::from_schedule`](ocd_core::ProvenanceTrace::from_schedule).
     #[must_use]
     pub fn to_record(
         &self,
@@ -184,9 +164,61 @@ impl SimOutcome {
             trace: self.report.trace.clone(),
             capacity_trace: self.capacity_trace.clone(),
             rejected_per_step: self.rejected_per_step.clone(),
-            metrics: self.metrics.clone(),
-            provenance: self.provenance.as_ref().map(ProvenanceTrace::to_record),
+            metrics: None,
+            provenance: None,
         }
+    }
+
+    /// The `engine.*` metrics of the run, read off the outcome and the
+    /// instance: headline counters, the per-step move histogram,
+    /// per-arc and per-vertex utilization series and instance-shape
+    /// gauges. Deterministic: equal-seed runs snapshot
+    /// byte-identically. `engine.rejected_moves` sums
+    /// `rejected_per_step`, so it relies on every rejecting medium
+    /// [recording rejections](Medium::records_rejections).
+    #[must_use]
+    pub fn metrics_snapshot(&self, instance: &Instance) -> MetricsSnapshot {
+        let g = instance.graph();
+        let report = &self.report;
+        let mut arc_tokens = vec![0; g.edge_count()];
+        let mut uplink_tokens = vec![0; g.node_count()];
+        for (edge, tokens) in report.schedule.steps().iter().flat_map(Timestep::sends) {
+            arc_tokens[edge.index()] += tokens.len() as u64;
+            uplink_tokens[g.edge(edge).src.index()] += tokens.len() as u64;
+        }
+        let remaining = report
+            .trace
+            .last()
+            .map_or_else(|| instance.total_deficiency(), |r| r.remaining_need);
+        MetricsSnapshot::new(
+            [
+                ("engine.steps", report.steps as u64),
+                ("engine.moves", report.bandwidth),
+                ("engine.duplicate_deliveries", report.duplicate_deliveries),
+                ("engine.rejected_moves", self.rejected_per_step.iter().sum()),
+            ],
+            [
+                ("engine.vertices", g.node_count() as i64),
+                ("engine.arcs", g.edge_count() as i64),
+                ("engine.tokens", instance.num_tokens() as i64),
+                ("engine.remaining_need", remaining as i64),
+            ],
+            [
+                HistogramSnapshot::of("engine.step_moves", report.trace.iter().map(|r| r.moves)),
+                // Phase timings come from wall-clock spans, not metrics.
+                // These three histograms stay, and empty, because every
+                // snapshot since RunRecord schema v2 carries them:
+                // dropping them would change every artifact that embeds
+                // one.
+                HistogramSnapshot::of("engine.plan_nanos", []),
+                HistogramSnapshot::of("engine.admit_nanos", []),
+                HistogramSnapshot::of("engine.apply_nanos", []),
+            ],
+            [
+                SeriesSnapshot::new("engine.arc_tokens", arc_tokens),
+                SeriesSnapshot::new("engine.vertex_uplink_tokens", uplink_tokens),
+            ],
+        )
     }
 }
 
@@ -229,10 +261,6 @@ pub fn simulate(
 /// as a stall if the medium says [stalls abort](Medium::stall_aborts)
 /// and the strategy does not claim the right to idle.
 ///
-/// [`SimConfig::metrics`] and [`SimConfig::provenance`] attach a
-/// [`MetricsSnapshot`] and a [`ProvenanceTrace`], both derived from the
-/// finished run.
-///
 /// # Panics
 ///
 /// Panics if the strategy violates capacity or possession, sends on a
@@ -256,91 +284,12 @@ pub fn simulate_with<M: Medium>(
 /// Span counters are deterministic quantities (moves admitted,
 /// remaining need), so a [`FlightRecorder::logical`] recorder produces
 /// byte-identical artifacts across equal-seed runs. Pass
-/// [`FlightRecorder::wall`] to time each phase instead.
+/// [`FlightRecorder::wall`] to time each phase instead. With
+/// [`NoopSpans`] the inlined no-ops make this the uninstrumented loop.
 ///
 /// [`FlightRecorder::logical`]: ocd_core::FlightRecorder::logical
 /// [`FlightRecorder::wall`]: ocd_core::FlightRecorder::wall
 pub fn simulate_with_spans<M: Medium, S: SpanRecorder>(
-    instance: &Instance,
-    strategy: &mut dyn Strategy,
-    medium: &mut M,
-    config: &SimConfig,
-    rng: &mut dyn RngCore,
-    spans: &mut S,
-) -> SimOutcome {
-    let mut outcome = run_loop(instance, strategy, medium, config, rng, spans);
-    if config.metrics {
-        outcome.metrics = Some(engine_metrics(instance, &outcome));
-    }
-    if config.provenance {
-        let trace = ProvenanceTrace::from_schedule(instance, &outcome.report.schedule);
-        outcome.provenance = Some(trace);
-    }
-    outcome
-}
-
-/// The `engine.*` metrics of a finished run, read off its outcome and
-/// the instance. `engine.rejected_moves` sums `rejected_per_step`, so
-/// it relies on every rejecting medium
-/// [recording rejections](Medium::records_rejections).
-fn engine_metrics(instance: &Instance, outcome: &SimOutcome) -> MetricsSnapshot {
-    let g = instance.graph();
-    let report = &outcome.report;
-    let mut reg = MetricsRegistry::new();
-    for (name, value) in [
-        ("engine.steps", report.steps as u64),
-        ("engine.moves", report.bandwidth),
-        ("engine.duplicate_deliveries", report.duplicate_deliveries),
-        (
-            "engine.rejected_moves",
-            outcome.rejected_per_step.iter().sum(),
-        ),
-    ] {
-        let id = reg.counter(name);
-        reg.add(id, value);
-    }
-    let step_moves = reg.histogram("engine.step_moves");
-    for r in &report.trace {
-        reg.observe(step_moves, r.moves);
-    }
-    // Phase timings come from wall-clock spans, not metrics. These three
-    // histograms stay registered, and empty, because every snapshot since
-    // RunRecord schema v2 carries them: dropping them would change every
-    // artifact that embeds one.
-    for name in [
-        "engine.plan_nanos",
-        "engine.admit_nanos",
-        "engine.apply_nanos",
-    ] {
-        reg.histogram(name);
-    }
-    let arc_tokens = reg.series("engine.arc_tokens", g.edge_count());
-    let uplink_tokens = reg.series("engine.vertex_uplink_tokens", g.node_count());
-    for (edge, tokens) in report.schedule.steps().iter().flat_map(Timestep::sends) {
-        reg.series_add(arc_tokens, edge.index(), tokens.len() as u64);
-        reg.series_add(uplink_tokens, g.edge(edge).src.index(), tokens.len() as u64);
-    }
-    let remaining = report
-        .trace
-        .last()
-        .map_or_else(|| instance.total_deficiency(), |r| r.remaining_need);
-    for (name, value) in [
-        ("engine.vertices", g.node_count() as i64),
-        ("engine.arcs", g.edge_count() as i64),
-        ("engine.tokens", instance.num_tokens() as i64),
-        ("engine.remaining_need", remaining as i64),
-    ] {
-        let id = reg.gauge(name);
-        reg.set(id, value);
-    }
-    reg.snapshot()
-}
-
-/// The monomorphized loop body behind [`simulate_with`]: `S` is either
-/// a live [`FlightRecorder`](ocd_core::FlightRecorder) or [`NoopSpans`],
-/// whose inlined no-ops make the disabled path identical to the
-/// uninstrumented loop.
-fn run_loop<M: Medium, S: SpanRecorder>(
     instance: &Instance,
     strategy: &mut dyn Strategy,
     medium: &mut M,
@@ -525,8 +474,6 @@ fn run_loop<M: Medium, S: SpanRecorder>(
         },
         capacity_trace,
         rejected_per_step,
-        metrics: None,
-        provenance: None,
     }
 }
 
@@ -543,6 +490,7 @@ fn remaining_need(instance: &Instance, possession: &[TokenSet]) -> u64 {
 mod tests {
     use super::*;
     use crate::{KnowledgeTier, Strategy};
+    use ocd_core::provenance::ProvenanceTrace;
     use ocd_core::scenario::single_file;
     use ocd_core::span::FlightRecorder;
     use ocd_core::validate;
@@ -709,19 +657,15 @@ mod tests {
     #[test]
     fn metrics_snapshot_matches_report() {
         let instance = single_file(classic::cycle(5, 3, true), 6, 0);
-        let config = SimConfig {
-            metrics: true,
-            ..Default::default()
-        };
         let mut rng = StdRng::seed_from_u64(21);
         let outcome = simulate_with(
             &instance,
             &mut Flood,
             &mut crate::medium::Ideal,
-            &config,
+            &SimConfig::default(),
             &mut rng,
         );
-        let snap = outcome.metrics.as_ref().expect("metrics enabled");
+        let snap = &outcome.metrics_snapshot(&instance);
         assert_eq!(
             snap.counter("engine.steps"),
             Some(outcome.report.steps as u64)
@@ -761,34 +705,16 @@ mod tests {
         // snapshot deterministic.
         assert_eq!(snap.histogram("engine.plan_nanos").unwrap().count, 0);
         // Embedding survives the record round trip.
-        let record = outcome.to_record(&instance, "flood", "ideal", 21);
+        let mut record = outcome.to_record(&instance, "flood", "ideal", 21);
+        record.metrics = Some(snap.clone());
         record.certify().unwrap();
-        assert_eq!(record.metrics.as_ref(), Some(snap));
-    }
-
-    #[test]
-    fn metrics_disabled_yields_none() {
-        let instance = single_file(classic::cycle(5, 3, true), 6, 0);
-        let mut rng = StdRng::seed_from_u64(22);
-        let outcome = simulate_with(
-            &instance,
-            &mut Flood,
-            &mut crate::medium::Ideal,
-            &SimConfig::default(),
-            &mut rng,
-        );
-        assert!(outcome.metrics.is_none());
-        let record = outcome.to_record(&instance, "flood", "ideal", 22);
-        record.certify().unwrap();
+        let back = ocd_core::RunRecord::from_json(&record.to_json().unwrap()).unwrap();
+        assert_eq!(back.metrics.as_ref(), Some(snap));
     }
 
     #[test]
     fn same_seed_snapshots_are_byte_identical() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = SimConfig {
-            metrics: true,
-            ..Default::default()
-        };
         let run = || {
             let mut rng = StdRng::seed_from_u64(33);
             let mut strategy = crate::StrategyKind::Random.build();
@@ -796,11 +722,10 @@ mod tests {
                 &instance,
                 strategy.as_mut(),
                 &mut crate::medium::Ideal,
-                &config,
+                &SimConfig::default(),
                 &mut rng,
             )
-            .metrics
-            .unwrap()
+            .metrics_snapshot(&instance)
             .to_json()
         };
         assert_eq!(run(), run());
@@ -904,58 +829,33 @@ mod tests {
     }
 
     #[test]
-    fn provenance_trace_matches_schedule_derivation() {
+    fn provenance_trace_of_the_schedule_embeds_and_certifies() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = SimConfig {
-            provenance: true,
-            ..Default::default()
-        };
         let mut rng = StdRng::seed_from_u64(41);
         let mut strategy = crate::StrategyKind::Random.build();
         let outcome = simulate_with(
             &instance,
             strategy.as_mut(),
             &mut crate::medium::Ideal,
-            &config,
-            &mut rng,
-        );
-        let live = outcome.provenance.as_ref().expect("provenance enabled");
-        let derived = ProvenanceTrace::from_schedule(&instance, &outcome.report.schedule);
-        assert_eq!(*live, derived, "the outcome's trace is the schedule replay");
-        // Every unsatisfied (vertex, token) need that got satisfied has
-        // a recorded parent delivery.
-        assert!(outcome.report.success);
-        assert!(live.critical_path(&instance).is_some());
-        // Embedding survives the record round trip and certifies.
-        let record = outcome.to_record(&instance, "random", "ideal", 41);
-        record.certify().unwrap();
-        assert_eq!(record.provenance.as_ref(), Some(&live.to_record()));
-    }
-
-    #[test]
-    fn provenance_disabled_yields_none() {
-        let instance = single_file(classic::cycle(5, 3, true), 6, 0);
-        let mut rng = StdRng::seed_from_u64(42);
-        let outcome = simulate_with(
-            &instance,
-            &mut Flood,
-            &mut crate::medium::Ideal,
             &SimConfig::default(),
             &mut rng,
         );
-        assert!(outcome.provenance.is_none());
-        let record = outcome.to_record(&instance, "flood", "ideal", 42);
-        assert!(record.provenance.is_none());
+        let trace = ProvenanceTrace::from_schedule(&instance, &outcome.report.schedule);
+        // Every unsatisfied (vertex, token) need that got satisfied has
+        // a recorded parent delivery.
+        assert!(outcome.report.success);
+        assert!(trace.critical_path(&instance).is_some());
+        // Embedding survives the record round trip and certifies.
+        let mut record = outcome.to_record(&instance, "random", "ideal", 41);
+        record.provenance = Some(trace.to_record());
         record.certify().unwrap();
+        let back = ocd_core::RunRecord::from_json(&record.to_json().unwrap()).unwrap();
+        assert_eq!(back.provenance, Some(trace.to_record()));
     }
 
     #[test]
     fn same_seed_provenance_artifacts_are_byte_identical() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = SimConfig {
-            provenance: true,
-            ..Default::default()
-        };
         let run = || {
             let mut rng = StdRng::seed_from_u64(43);
             let mut strategy = crate::StrategyKind::Random.build();
@@ -963,10 +863,10 @@ mod tests {
                 &instance,
                 strategy.as_mut(),
                 &mut crate::medium::Ideal,
-                &config,
+                &SimConfig::default(),
                 &mut rng,
             );
-            let trace = outcome.provenance.unwrap();
+            let trace = ProvenanceTrace::from_schedule(&instance, &outcome.report.schedule);
             (
                 trace.to_json(),
                 trace.to_csv(),
@@ -1008,21 +908,25 @@ mod tests {
     #[test]
     fn to_record_certifies_for_every_extras_combination() {
         let instance = single_file(classic::cycle(5, 3, true), 6, 0);
+        let mut rng = StdRng::seed_from_u64(46);
+        let outcome = simulate_with(
+            &instance,
+            &mut Flood,
+            &mut crate::medium::Ideal,
+            &SimConfig::default(),
+            &mut rng,
+        );
+        let plain = outcome.to_record(&instance, "flood", "ideal", 46);
+        assert!(plain.metrics.is_none() && plain.provenance.is_none());
         for (metrics, provenance) in [(false, false), (true, false), (false, true), (true, true)] {
-            let config = SimConfig {
-                metrics,
-                provenance,
-                ..Default::default()
-            };
-            let mut rng = StdRng::seed_from_u64(46);
-            let outcome = simulate_with(
-                &instance,
-                &mut Flood,
-                &mut crate::medium::Ideal,
-                &config,
-                &mut rng,
-            );
-            let record = outcome.to_record(&instance, "flood", "ideal", 46);
+            let mut record = plain.clone();
+            if metrics {
+                record.metrics = Some(outcome.metrics_snapshot(&instance));
+            }
+            if provenance {
+                let trace = ProvenanceTrace::from_schedule(&instance, &outcome.report.schedule);
+                record.provenance = Some(trace.to_record());
+            }
             assert_eq!(record.metrics.is_some(), metrics);
             assert_eq!(record.provenance.is_some(), provenance);
             record.certify().unwrap();

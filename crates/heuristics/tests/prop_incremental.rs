@@ -111,7 +111,6 @@ proptest! {
         let config = SimConfig {
             max_steps: 80,
             knowledge_delay: delay,
-            ..Default::default()
         };
 
         let mut audited = AuditedStrategy::new(kind, delay);

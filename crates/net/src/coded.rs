@@ -105,8 +105,8 @@ impl CodedNetReport {
                 + self.packets_unresolved
     }
 
-    /// Feeds the report's counters into the suite-wide metrics registry
-    /// and returns the snapshot — the `coded.*` counterpart of
+    /// The report's counters as a metrics snapshot — the `coded.*`
+    /// counterpart of
     /// [`NetReport::metrics_snapshot`](crate::NetReport::metrics_snapshot),
     /// in the same schema: per-kind message counters
     /// (`coded.msgs_sent.{have,request,token}`), innovation/loss
@@ -118,9 +118,19 @@ impl CodedNetReport {
     #[must_use]
     pub fn metrics_snapshot(&self) -> ocd_core::MetricsSnapshot {
         use crate::msg::MsgKind;
-        use ocd_core::MetricsRegistry;
-        let mut reg = MetricsRegistry::new();
-        for (name, value) in [
+        use ocd_core::metrics::{HistogramSnapshot, MetricsSnapshot, SeriesSnapshot};
+        let arcs = |value: fn(&CodedLinkCounters) -> u64| -> Vec<u64> {
+            self.link_counters.iter().map(value).collect()
+        };
+        // Per-kind wire counters, named like the uncoded runtime's
+        // `net.msgs_sent.{kind}` (the coded protocol has no `cancel`).
+        let per_kind = [
+            (MsgKind::Have, self.have_messages),
+            (MsgKind::Request, self.request_messages),
+            (MsgKind::Token, self.packets_sent),
+        ]
+        .map(|(kind, value)| (format!("coded.msgs_sent.{}", kind.name()), value));
+        let counters = [
             ("coded.ticks", self.ticks),
             ("coded.packets_sent", self.packets_sent),
             ("coded.innovative_deliveries", self.innovative_deliveries),
@@ -129,42 +139,25 @@ impl CodedNetReport {
             ("coded.packets_unresolved", self.packets_unresolved),
             ("coded.bytes_sent", self.bytes_sent),
             ("coded.request_timeouts", self.request_timeouts),
-        ] {
-            let c = reg.counter(name);
-            reg.add(c, value);
-        }
-        // Per-kind wire counters, named like the uncoded runtime's
-        // `net.msgs_sent.{kind}` (the coded protocol has no `cancel`).
-        for (kind, value) in [
-            (MsgKind::Have, self.have_messages),
-            (MsgKind::Request, self.request_messages),
-            (MsgKind::Token, self.packets_sent),
-        ] {
-            let c = reg.counter(&format!("coded.msgs_sent.{}", kind.name()));
-            reg.add(c, value);
-        }
-        let arcs = self.link_counters.len();
-        let sent = reg.series("coded.arc_packets_sent", arcs);
-        let innovative = reg.series("coded.arc_innovative", arcs);
-        let redundant = reg.series("coded.arc_redundant", arcs);
-        let lost = reg.series("coded.arc_lost", arcs);
-        for (e, lc) in self.link_counters.iter().enumerate() {
-            reg.series_add(sent, e, lc.packets_sent);
-            reg.series_add(innovative, e, lc.innovative);
-            reg.series_add(redundant, e, lc.redundant);
-            reg.series_add(lost, e, lc.lost);
-        }
-        let completion = reg.histogram("coded.rank_completion_ticks");
-        let mut unfinished = 0i64;
-        for c in &self.completion_ticks {
-            match c {
-                Some(tick) => reg.observe(completion, *tick),
-                None => unfinished += 1,
-            }
-        }
-        let g = reg.gauge("coded.unfinished_vertices");
-        reg.set(g, unfinished);
-        reg.snapshot()
+        ]
+        .map(|(name, value)| (name.to_string(), value))
+        .into_iter()
+        .chain(per_kind);
+        let unfinished = self.completion_ticks.iter().filter(|c| c.is_none()).count();
+        MetricsSnapshot::new(
+            counters,
+            [("coded.unfinished_vertices".to_string(), unfinished as i64)],
+            [HistogramSnapshot::of(
+                "coded.rank_completion_ticks",
+                self.completion_ticks.iter().flatten().copied(),
+            )],
+            [
+                SeriesSnapshot::new("coded.arc_packets_sent", arcs(|lc| lc.packets_sent)),
+                SeriesSnapshot::new("coded.arc_innovative", arcs(|lc| lc.innovative)),
+                SeriesSnapshot::new("coded.arc_redundant", arcs(|lc| lc.redundant)),
+                SeriesSnapshot::new("coded.arc_lost", arcs(|lc| lc.lost)),
+            ],
+        )
     }
 }
 

@@ -157,19 +157,22 @@ impl NetReport {
                 + self.tokens_unresolved
     }
 
-    /// Feeds the report's vertex/link counters and token accounting
-    /// into the suite-wide metrics registry and returns the snapshot —
-    /// the `net.*` counterpart of the engine's `engine.*` metrics, in
-    /// the same [`MetricsSnapshot`](ocd_core::MetricsSnapshot) schema
-    /// the bench rollups and `RunRecord` artifacts consume.
+    /// The report's vertex/link counters and token accounting as a
+    /// metrics snapshot — the `net.*` counterpart of the engine's
+    /// `engine.*` metrics, in the same
+    /// [`MetricsSnapshot`](ocd_core::MetricsSnapshot) schema that
+    /// `RunRecord` artifacts embed.
     ///
     /// Everything here derives from the deterministic run state, so
     /// equal-seed runs snapshot byte-identically.
     #[must_use]
     pub fn metrics_snapshot(&self) -> ocd_core::MetricsSnapshot {
-        use ocd_core::MetricsRegistry;
-        let mut reg = MetricsRegistry::new();
-        for (name, value) in [
+        use ocd_core::metrics::{HistogramSnapshot, MetricsSnapshot, SeriesSnapshot};
+        let vertices = &self.vertex_counters;
+        let arcs = |value: fn(&LinkCounters) -> u64| -> Vec<u64> {
+            self.link_counters.iter().map(value).collect()
+        };
+        let counters = [
             ("net.ticks", self.ticks),
             ("net.tokens_delivered", self.tokens_delivered),
             ("net.tokens_lost", self.tokens_lost),
@@ -177,46 +180,41 @@ impl NetReport {
             ("net.tokens_unresolved", self.tokens_unresolved),
             ("net.duplicate_deliveries", self.duplicate_deliveries),
             ("net.retransmits", self.retransmits),
-        ] {
-            let c = reg.counter(name);
-            reg.add(c, value);
-        }
-        for kind in MsgKind::ALL {
-            let c = reg.counter(&format!("net.msgs_sent.{}", kind.name()));
-            reg.add(c, self.messages_sent[kind.index()]);
-        }
-        let timeouts = reg.counter("net.request_timeouts");
-        let crashes = reg.counter("net.crashes");
-        let vertex_timeouts = reg.series("net.vertex_request_timeouts", self.vertex_counters.len());
-        for (v, vc) in self.vertex_counters.iter().enumerate() {
-            reg.add(timeouts, vc.request_timeouts);
-            reg.add(crashes, vc.crashes);
-            reg.series_add(vertex_timeouts, v, vc.request_timeouts);
-        }
-        let arcs = self.link_counters.len();
-        let sent = reg.series("net.arc_tokens_sent", arcs);
-        let delivered = reg.series("net.arc_tokens_delivered", arcs);
-        let lost = reg.series("net.arc_tokens_lost", arcs);
-        let retrans = reg.series("net.arc_retransmits", arcs);
-        let depth = reg.series("net.arc_max_queue_depth", arcs);
-        for (e, lc) in self.link_counters.iter().enumerate() {
-            reg.series_add(sent, e, lc.tokens_sent);
-            reg.series_add(delivered, e, lc.tokens_delivered);
-            reg.series_add(lost, e, lc.tokens_lost);
-            reg.series_add(retrans, e, lc.retransmits);
-            reg.series_add(depth, e, lc.max_queue_depth as u64);
-        }
-        let completion = reg.histogram("net.completion_ticks");
-        let mut unfinished = 0i64;
-        for c in &self.completion_ticks {
-            match c {
-                Some(tick) => reg.observe(completion, *tick),
-                None => unfinished += 1,
-            }
-        }
-        let g = reg.gauge("net.unfinished_vertices");
-        reg.set(g, unfinished);
-        reg.snapshot()
+            (
+                "net.request_timeouts",
+                vertices.iter().map(|vc| vc.request_timeouts).sum(),
+            ),
+            ("net.crashes", vertices.iter().map(|vc| vc.crashes).sum()),
+        ]
+        .map(|(name, value)| (name.to_string(), value))
+        .into_iter()
+        .chain(MsgKind::ALL.map(|kind| {
+            let name = format!("net.msgs_sent.{}", kind.name());
+            (name, self.messages_sent[kind.index()])
+        }));
+        let unfinished = self.completion_ticks.iter().filter(|c| c.is_none()).count();
+        MetricsSnapshot::new(
+            counters,
+            [("net.unfinished_vertices".to_string(), unfinished as i64)],
+            [HistogramSnapshot::of(
+                "net.completion_ticks",
+                self.completion_ticks.iter().flatten().copied(),
+            )],
+            [
+                SeriesSnapshot::new(
+                    "net.vertex_request_timeouts",
+                    vertices.iter().map(|vc| vc.request_timeouts).collect(),
+                ),
+                SeriesSnapshot::new("net.arc_tokens_sent", arcs(|lc| lc.tokens_sent)),
+                SeriesSnapshot::new("net.arc_tokens_delivered", arcs(|lc| lc.tokens_delivered)),
+                SeriesSnapshot::new("net.arc_tokens_lost", arcs(|lc| lc.tokens_lost)),
+                SeriesSnapshot::new("net.arc_retransmits", arcs(|lc| lc.retransmits)),
+                SeriesSnapshot::new(
+                    "net.arc_max_queue_depth",
+                    arcs(|lc| lc.max_queue_depth as u64),
+                ),
+            ],
+        )
     }
 }
 
