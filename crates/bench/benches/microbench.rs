@@ -72,6 +72,8 @@ fn bench_strategy_step(c: &mut Criterion) {
     let instance = single_file(topology, 100, 0);
     let possession: Vec<TokenSet> = instance.have_all().to_vec();
     let aggregates = AggregateKnowledge::compute(100, &possession, instance.want_all());
+    let g = instance.graph();
+    let caps: Vec<u32> = g.edge_ids().map(|e| g.capacity(e)).collect();
     let mut group = c.benchmark_group("strategy_first_step_n100_m100");
     for kind in StrategyKind::paper_five() {
         group.bench_function(kind.name(), |b| {
@@ -87,7 +89,7 @@ fn bench_strategy_step(c: &mut Criterion) {
                         possession: &possession,
                         aggregates: &aggregates,
                         step: 0,
-                        capacities: None,
+                        capacities: &caps,
                     };
                     std::hint::black_box(s.plan_step(&view, &mut step_rng))
                 },

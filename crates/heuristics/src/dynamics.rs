@@ -550,7 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn view_capacity_falls_back_to_graph() {
+    fn view_capacity_is_the_step_capacity_not_the_graphs() {
         let instance = single_file(classic::path(2, 7, false), 1, 0);
         let possession = instance.have_all().to_vec();
         let aggregates =
@@ -560,13 +560,7 @@ mod tests {
             possession: &possession,
             aggregates: &aggregates,
             step: 0,
-            capacities: None,
-        };
-        assert_eq!(view.capacity(ocd_graph::EdgeId::new(0)), 7);
-        let caps = vec![3u32];
-        let view = WorldView {
-            capacities: Some(&caps),
-            ..view
+            capacities: &[3],
         };
         assert_eq!(view.capacity(ocd_graph::EdgeId::new(0)), 3);
     }

@@ -365,7 +365,7 @@ pub fn simulate_with_spans<M: Medium, S: SpanRecorder>(
                 possession: &possession,
                 aggregates: visible,
                 step,
-                capacities: Some(caps),
+                capacities: caps,
             };
             strategy.plan_step(&view, rng)
         };

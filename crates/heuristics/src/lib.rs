@@ -59,7 +59,6 @@ mod random;
 mod round_robin;
 mod shard;
 mod tree_stripe;
-pub mod underlay;
 mod view;
 
 pub use bandwidth::BandwidthCautious;
@@ -72,11 +71,11 @@ pub use engine::{simulate, simulate_with, simulate_with_spans, SimConfig, SimOut
 pub use gather::GatherThenPlan;
 pub use global_greedy::GlobalGreedy;
 pub use kind::StrategyKind;
-pub use local_rarest::LocalRarest;
+pub use local_rarest::{LocalRarest, ShardedLocal};
 pub use medium::{Dynamic, Ideal, Medium, NodeCapacity, PhysicalUnderlay};
 pub use per_neighbor_queue::PerNeighborQueue;
-pub use random::RandomUseful;
+pub use random::{RandomUseful, ShardedRandom};
 pub use round_robin::RoundRobin;
-pub use shard::{Sharded, ShardedLocal, ShardedRandom, ShardedTreeStripe, VertexStrategy};
-pub use tree_stripe::TreeStripe;
+pub use shard::{Sharded, VertexStrategy};
+pub use tree_stripe::{ShardedTreeStripe, TreeStripe};
 pub use view::{KnowledgeTier, Strategy, WorldView};

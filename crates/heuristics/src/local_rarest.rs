@@ -11,22 +11,24 @@
 //! token to exactly one in-peer as a block request. Remaining arc
 //! capacity floods rarest-first (the Local heuristic is still a flooding
 //! heuristic: it fills links whenever doing so "can increase knowledge").
+//!
+//! The rules — per-receiver subdivision, per-arc serve-then-flood — are
+//! [`ShardedLocal`]'s; [`LocalRarest`] runs them serially and
+//! [`Sharded`](crate::Sharded) across vertex ranges.
 
 use crate::policy::{rarest_flood_fill, subdivide_requests};
-use crate::{KnowledgeTier, Strategy, WorldView};
+use crate::shard::plan_serially;
+use crate::{KnowledgeTier, Strategy, VertexStrategy, WorldView};
 use ocd_core::{Instance, TokenSet};
-use ocd_graph::EdgeId;
+use ocd_graph::{EdgeId, NodeId};
 use rand::RngCore;
 
-/// Rarest-random with per-peer request subdivision.
+/// Rarest-random with per-peer request subdivision: every receiver's
+/// requests in vertex order, then every arc in id order, on the engine's
+/// one RNG.
 #[derive(Debug, Default)]
 pub struct LocalRarest {
-    /// Ablation: when true, skip the request-subdivision phase and rely
-    /// on flood-fill alone. The paper motivates subdivision as the fix
-    /// for "two peers send the same 'rare' block in the same direction";
-    /// disabling it quantifies exactly that duplicate-send waste (see
-    /// the `table_ablation` experiment).
-    no_subdivision: bool,
+    rules: ShardedLocal,
 }
 
 impl LocalRarest {
@@ -40,14 +42,16 @@ impl LocalRarest {
     #[must_use]
     pub fn without_subdivision() -> Self {
         LocalRarest {
-            no_subdivision: true,
+            rules: ShardedLocal {
+                no_subdivision: true,
+            },
         }
     }
 }
 
 impl Strategy for LocalRarest {
     fn name(&self) -> &'static str {
-        if self.no_subdivision {
+        if self.rules.no_subdivision {
             "local-nosubdiv"
         } else {
             "local"
@@ -55,7 +59,7 @@ impl Strategy for LocalRarest {
     }
 
     fn tier(&self) -> KnowledgeTier {
-        KnowledgeTier::Aggregates
+        self.rules.tier()
     }
 
     fn reset(&mut self, _instance: &Instance) {}
@@ -65,62 +69,102 @@ impl Strategy for LocalRarest {
         view: &WorldView<'_>,
         rng: &mut dyn RngCore,
     ) -> Vec<(EdgeId, TokenSet)> {
+        plan_serially(&self.rules, view, rng)
+    }
+}
+
+/// The Local rules, run across vertex ranges by
+/// [`Sharded`](crate::Sharded): receivers subdivide their needs into
+/// per-in-arc requests, and each arc serves its request, then floods its
+/// remaining capacity rarest-first.
+#[derive(Debug, Default)]
+pub struct ShardedLocal {
+    /// Ablation: when true, skip the request-subdivision phase and rely
+    /// on flood-fill alone. The paper motivates subdivision as the fix
+    /// for "two peers send the same 'rare' block in the same direction";
+    /// disabling it quantifies exactly that duplicate-send waste (see
+    /// the `table_ablation` experiment).
+    no_subdivision: bool,
+}
+
+impl ShardedLocal {
+    /// Creates the strategy.
+    #[must_use]
+    pub fn new() -> Self {
+        ShardedLocal::default()
+    }
+}
+
+impl VertexStrategy for ShardedLocal {
+    fn name(&self) -> &'static str {
+        "sharded-local"
+    }
+
+    fn tier(&self) -> KnowledgeTier {
+        KnowledgeTier::Aggregates
+    }
+
+    fn uses_requests(&self) -> bool {
+        !self.no_subdivision
+    }
+
+    fn plan_requests(
+        &self,
+        view: &WorldView<'_>,
+        v: NodeId,
+        rng: &mut dyn RngCore,
+    ) -> Vec<(EdgeId, TokenSet)> {
         let g = view.graph();
-        let m = view.instance.num_tokens();
-
-        // --- Receiver side: subdivide needs into per-in-arc requests. ---
-        // requests[e] = tokens the destination of arc e asks for on e.
-        // The actual rule lives in [`crate::policy::subdivide_requests`],
-        // shared with the asynchronous runtime.
-        let mut requests: Vec<TokenSet> = vec![TokenSet::new(m); g.edge_count()];
-        let subdividing = !self.no_subdivision;
-        for v in g.nodes().filter(|_| subdividing) {
-            let need = view.need_of(v);
-            if need.is_empty() {
-                continue;
-            }
-            let in_edges: Vec<EdgeId> = g.in_edges(v).collect();
-            if in_edges.is_empty() {
-                continue;
-            }
-            let assigned = subdivide_requests(
-                &need,
-                &in_edges,
-                &|e| &view.possession[g.edge(e).src.index()],
-                &|e| view.capacity(e),
-                view.aggregates,
-                rng,
-            );
-            for (&e, req) in in_edges.iter().zip(assigned) {
-                requests[e.index()] = req;
-            }
+        let need = view.need_of(v);
+        if need.is_empty() {
+            return Vec::new();
         }
-
-        // --- Sender side: serve requests, then flood the remainder. ---
-        let mut out = Vec::new();
-        for e in g.edge_ids() {
-            let arc = g.edge(e);
-            let cap = view.capacity(e) as usize;
-            if cap == 0 {
-                continue;
-            }
-            let mut send = requests[e.index()].clone();
-            debug_assert!(send.len() <= cap);
-            debug_assert!(send.is_subset(&view.possession[arc.src.index()]));
-            if send.len() < cap {
-                // Flood fill: rarest tokens the peer lacks, preferring
-                // tokens somebody still needs (the "want" aggregate).
-                let mut candidates =
-                    view.possession[arc.src.index()].difference(&view.possession[arc.dst.index()]);
-                candidates.subtract(&send);
-                let room = cap - send.len();
-                rarest_flood_fill(&mut send, &candidates, room, view.aggregates, rng);
-            }
-            if !send.is_empty() {
-                out.push((e, send));
-            }
+        let in_edges: Vec<EdgeId> = g.in_edges(v).collect();
+        if in_edges.is_empty() {
+            return Vec::new();
         }
-        out
+        let assigned = subdivide_requests(
+            &need,
+            &in_edges,
+            &|e| &view.possession[g.edge(e).src.index()],
+            &|e| view.capacity(e),
+            view.aggregates,
+            rng,
+        );
+        in_edges
+            .into_iter()
+            .zip(assigned)
+            .filter(|(_, req)| !req.is_empty())
+            .collect()
+    }
+
+    fn plan_arc(
+        &self,
+        view: &WorldView<'_>,
+        e: EdgeId,
+        request: Option<&TokenSet>,
+        rng: &mut dyn RngCore,
+    ) -> Option<TokenSet> {
+        let cap = view.capacity(e) as usize;
+        if cap == 0 {
+            return None;
+        }
+        let arc = view.graph().edge(e);
+        let mut send = request
+            .cloned()
+            .unwrap_or_else(|| TokenSet::new(view.instance.num_tokens()));
+        debug_assert!(send.len() <= cap);
+        debug_assert!(send.is_subset(&view.possession[arc.src.index()]));
+        if send.len() < cap {
+            // Flood fill: rarest tokens the peer lacks, preferring
+            // tokens somebody still needs (the "want" aggregate).
+            let mut candidates =
+                view.possession[arc.src.index()].difference(&view.possession[arc.dst.index()]);
+            candidates.subtract(&send);
+            let room = cap - send.len();
+            rarest_flood_fill(&mut send, &candidates, room, view.aggregates, rng);
+        }
+        (!send.is_empty()).then_some(send)
     }
 }
 

@@ -201,7 +201,12 @@ impl Medium for Dynamic<'_> {
 /// then clipped by round-robin *physical admission control* — every
 /// physical arc has its capacity as a per-step budget, and overlay arcs
 /// take turns admitting one token each (ascending token order within an
-/// arc) so no overlay link starves.
+/// arc) so no overlay link starves. A token is admitted on an overlay
+/// arc only if every physical arc on its path still has budget, so the
+/// recorded schedule is valid for the overlay instance *and* physically
+/// realizable. The interesting output is the *inflation* of completion
+/// time over the pure-overlay model — how optimistic the independence
+/// assumption was (see the `table_underlay` experiment).
 ///
 /// All scratch state (physical budgets, per-arc token queues, cursors)
 /// is reused across steps.
@@ -211,11 +216,7 @@ pub struct PhysicalUnderlay<'a> {
     mapping: &'a OverlayMapping,
     /// Per-physical-arc remaining budget for the current step.
     budget: Vec<u32>,
-    /// Recycled per-proposal token queues (the tokens awaiting
-    /// admission, in ascending order).
-    queues: Vec<Vec<Token>>,
-    /// `cursors[slot]` = next token of `queues[slot]` to admit.
-    cursors: Vec<usize>,
+    admission: RoundRobinAdmission,
 }
 
 impl<'a> PhysicalUnderlay<'a> {
@@ -227,8 +228,7 @@ impl<'a> PhysicalUnderlay<'a> {
             physical,
             mapping,
             budget: Vec::new(),
-            queues: Vec::new(),
-            cursors: Vec::new(),
+            admission: RoundRobinAdmission::default(),
         }
     }
 }
@@ -264,48 +264,17 @@ impl Medium for PhysicalUnderlay<'_> {
         self.budget.clear();
         self.budget
             .extend(self.physical.edge_ids().map(|e| self.physical.capacity(e)));
-        while self.queues.len() < proposed.len() {
-            self.queues.push(Vec::new());
-        }
-        self.cursors.clear();
-        self.cursors.resize(proposed.len(), 0);
-        // Drain each proposed set into its recycled queue; the set is
-        // then refilled with the admitted tokens only.
-        for (slot, (_, tokens)) in proposed.iter_mut().enumerate() {
-            let queue = &mut self.queues[slot];
-            queue.clear();
-            queue.extend(tokens.iter());
-            tokens.clear();
-        }
-        let mut rejected = 0u64;
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (slot, (e, admitted)) in proposed.iter_mut().enumerate() {
-                let queue = &self.queues[slot];
-                let cursor = &mut self.cursors[slot];
-                if *cursor >= queue.len() {
-                    continue;
-                }
-                let path = &self.mapping.paths[e.index()];
-                let feasible = path.iter().all(|pe| self.budget[pe.index()] > 0);
-                if feasible {
-                    for pe in path {
-                        self.budget[pe.index()] -= 1;
-                    }
-                    admitted.insert(queue[*cursor]);
-                    *cursor += 1;
-                    progress = true;
-                } else {
-                    // Physical path saturated: everything left on this
-                    // arc is rejected this step.
-                    rejected += (queue.len() - *cursor) as u64;
-                    *cursor = queue.len();
+        self.admission.admit(proposed, |e| {
+            // One token needs one unit of every physical arc on the path.
+            let path = &self.mapping.paths[e.index()];
+            let fits = path.iter().all(|pe| self.budget[pe.index()] > 0);
+            if fits {
+                for pe in path {
+                    self.budget[pe.index()] -= 1;
                 }
             }
-        }
-        proposed.retain(|(_, tokens)| !tokens.is_empty());
-        rejected
+            fits
+        })
     }
 
     fn records_rejections(&self) -> bool {
@@ -341,9 +310,7 @@ pub struct NodeCapacity<M> {
     /// Per-vertex remaining uplink/downlink for the current step.
     up_left: Vec<u64>,
     down_left: Vec<u64>,
-    /// Recycled per-proposal token queues and admission cursors.
-    queues: Vec<Vec<Token>>,
-    cursors: Vec<usize>,
+    admission: RoundRobinAdmission,
 }
 
 impl<M: Medium> NodeCapacity<M> {
@@ -358,8 +325,7 @@ impl<M: Medium> NodeCapacity<M> {
             endpoints: Vec::new(),
             up_left: Vec::new(),
             down_left: Vec::new(),
-            queues: Vec::new(),
-            cursors: Vec::new(),
+            admission: RoundRobinAdmission::default(),
         }
     }
 
@@ -424,42 +390,17 @@ impl<M: Medium> Medium for NodeCapacity<M> {
         for (v, left) in self.down_left.iter_mut().enumerate() {
             *left = u64::from(self.budgets.downlink(v));
         }
-        while self.queues.len() < proposed.len() {
-            self.queues.push(Vec::new());
-        }
-        self.cursors.clear();
-        self.cursors.resize(proposed.len(), 0);
-        for (slot, (_, tokens)) in proposed.iter_mut().enumerate() {
-            let queue = &mut self.queues[slot];
-            queue.clear();
-            queue.extend(tokens.iter());
-            tokens.clear();
-        }
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for (slot, (e, admitted)) in proposed.iter_mut().enumerate() {
-                let queue = &self.queues[slot];
-                let cursor = &mut self.cursors[slot];
-                if *cursor >= queue.len() {
-                    continue;
-                }
-                let (src, dst) = self.endpoints[e.index()];
-                if self.up_left[src] > 0 && self.down_left[dst] > 0 {
-                    self.up_left[src] -= 1;
-                    self.down_left[dst] -= 1;
-                    admitted.insert(queue[*cursor]);
-                    *cursor += 1;
-                    progress = true;
-                } else {
-                    // An endpoint budget is exhausted: everything left
-                    // on this arc is rejected this step.
-                    rejected += (queue.len() - *cursor) as u64;
-                    *cursor = queue.len();
-                }
+        rejected += self.admission.admit(proposed, |e| {
+            // One token needs one unit of uplink at the source and one
+            // of downlink at the destination.
+            let (src, dst) = self.endpoints[e.index()];
+            let fits = self.up_left[src] > 0 && self.down_left[dst] > 0;
+            if fits {
+                self.up_left[src] -= 1;
+                self.down_left[dst] -= 1;
             }
-        }
-        proposed.retain(|(_, tokens)| !tokens.is_empty());
+            fits
+        });
         rejected
     }
 
@@ -476,10 +417,181 @@ impl<M: Medium> Medium for NodeCapacity<M> {
     }
 }
 
+/// The round-robin admission loop [`PhysicalUnderlay`] and
+/// [`NodeCapacity`] share: proposals take turns admitting one token each
+/// (ascending token order within a proposal) while the medium's budgets
+/// last, so no arc starves its siblings. Once a proposal's next token
+/// does not fit, everything left on it is rejected this step. The token
+/// queues and cursors are recycled across steps.
+#[derive(Debug, Default)]
+struct RoundRobinAdmission {
+    /// Per-proposal tokens awaiting admission, in ascending order.
+    queues: Vec<Vec<Token>>,
+    /// `cursors[slot]` = next token of `queues[slot]` to admit.
+    cursors: Vec<usize>,
+}
+
+impl RoundRobinAdmission {
+    /// Clips `proposed` in place and returns the number of rejected
+    /// token-moves. `take(e)` asks the medium for one token's worth of
+    /// budget on arc `e`: it charges the budgets and answers `true`, or
+    /// leaves them as they are and answers `false`.
+    fn admit(
+        &mut self,
+        proposed: &mut Vec<(EdgeId, TokenSet)>,
+        mut take: impl FnMut(EdgeId) -> bool,
+    ) -> u64 {
+        while self.queues.len() < proposed.len() {
+            self.queues.push(Vec::new());
+        }
+        self.cursors.clear();
+        self.cursors.resize(proposed.len(), 0);
+        // Drain each proposed set into its recycled queue; the set is
+        // then refilled with the admitted tokens only.
+        for (slot, (_, tokens)) in proposed.iter_mut().enumerate() {
+            let queue = &mut self.queues[slot];
+            queue.clear();
+            queue.extend(tokens.iter());
+            tokens.clear();
+        }
+        let mut rejected = 0u64;
+        let mut progress = true;
+        while progress {
+            progress = false;
+            for (slot, (e, admitted)) in proposed.iter_mut().enumerate() {
+                let queue = &self.queues[slot];
+                let cursor = &mut self.cursors[slot];
+                if *cursor >= queue.len() {
+                    continue;
+                }
+                if take(*e) {
+                    admitted.insert(queue[*cursor]);
+                    *cursor += 1;
+                    progress = true;
+                } else {
+                    rejected += (queue.len() - *cursor) as u64;
+                    *cursor = queue.len();
+                }
+            }
+        }
+        proposed.retain(|(_, tokens)| !tokens.is_empty());
+        rejected
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{simulate, simulate_with, SimConfig, StrategyKind};
+    use ocd_core::scenario::single_file;
+    use ocd_core::{validate, Instance};
+    use ocd_graph::generate::classic;
+    use ocd_graph::underlay::Underlay;
+    use ocd_graph::NodeId;
     use rand::prelude::*;
+
+    /// Physical star: hub router 0, hosts 1..=4 with symmetric cap 2.
+    /// Overlay: complete graph on the 4 hosts, each overlay link
+    /// believing it has capacity 2.
+    fn star_setup() -> (Instance, DiGraph, OverlayMapping) {
+        let physical = classic::star(5, 2, true);
+        let hosts: Vec<NodeId> = (1..5).map(|i| physical.node(i)).collect();
+        let overlay = classic::complete(4, 2);
+        let underlay = Underlay::new(physical.clone(), hosts).unwrap();
+        let mapping = underlay.map_overlay(&overlay).unwrap();
+        let instance = single_file(overlay, 6, 0);
+        (instance, physical, mapping)
+    }
+
+    /// Host 0 proposes tokens 0 and 1 to every other host.
+    fn fan_out_from_host_zero(instance: &Instance) -> Vec<(EdgeId, TokenSet)> {
+        let g = instance.graph();
+        let both = TokenSet::from_tokens(6, [Token::new(0), Token::new(1)]);
+        g.out_edges(g.node(0)).map(|e| (e, both.clone())).collect()
+    }
+
+    #[test]
+    fn physical_admission_respects_physical_budgets() {
+        // 6 proposed moves, but host 0's physical access link (cap 2)
+        // admits only 2.
+        let (instance, physical, mapping) = star_setup();
+        let mut proposed = fan_out_from_host_zero(&instance);
+        let rejected = PhysicalUnderlay::new(&physical, &mapping).admit(&mut proposed);
+        let admitted_moves: u64 = proposed.iter().map(|(_, t)| t.len() as u64).sum();
+        assert_eq!(admitted_moves, 2, "access link capacity 2 caps the fan-out");
+        assert_eq!(rejected, 4);
+    }
+
+    #[test]
+    fn physical_round_robin_admission_is_fair() {
+        let (instance, physical, mapping) = star_setup();
+        let mut proposed = fan_out_from_host_zero(&instance);
+        PhysicalUnderlay::new(&physical, &mapping).admit(&mut proposed);
+        // The 2 admitted tokens go to 2 *different* overlay arcs.
+        assert_eq!(proposed.len(), 2);
+        assert!(proposed.iter().all(|(_, t)| t.len() == 1));
+    }
+
+    #[test]
+    fn physical_constraints_inflate_completion_time() {
+        let (instance, physical, mapping) = star_setup();
+        let run_overlay = || {
+            let mut s = StrategyKind::Global.build();
+            let mut rng = StdRng::seed_from_u64(3);
+            simulate(&instance, s.as_mut(), &SimConfig::default(), &mut rng)
+        };
+        let run_physical = || {
+            let mut s = StrategyKind::Global.build();
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut medium = PhysicalUnderlay::new(&physical, &mapping);
+            simulate_with(
+                &instance,
+                s.as_mut(),
+                &mut medium,
+                &SimConfig::default(),
+                &mut rng,
+            )
+        };
+        let pure = run_overlay();
+        let constrained = run_physical();
+        assert!(pure.success && constrained.report.success);
+        assert!(
+            constrained.report.steps > pure.steps,
+            "sharing the hub must slow things down ({} vs {})",
+            constrained.report.steps,
+            pure.steps
+        );
+        assert!(constrained.rejected_per_step.iter().sum::<u64>() > 0);
+        // The admitted schedule is still a valid overlay schedule.
+        let replay = validate::replay(&instance, &constrained.report.schedule).unwrap();
+        assert!(replay.is_successful());
+    }
+
+    #[test]
+    fn generous_physical_network_changes_nothing() {
+        // Physical = overlay (each overlay arc rides its own dedicated
+        // physical arc): admission is a no-op.
+        let overlay = classic::cycle(5, 2, true);
+        let hosts: Vec<NodeId> = overlay.nodes().collect();
+        let underlay = Underlay::new(overlay.clone(), hosts).unwrap();
+        let mapping = underlay.map_overlay(&overlay).unwrap();
+        let instance = single_file(overlay.clone(), 4, 0);
+        let mut s1 = StrategyKind::Local.build();
+        let mut rng1 = StdRng::seed_from_u64(9);
+        let pure = simulate(&instance, s1.as_mut(), &SimConfig::default(), &mut rng1);
+        let mut s2 = StrategyKind::Local.build();
+        let mut rng2 = StdRng::seed_from_u64(9);
+        let mut medium = PhysicalUnderlay::new(&overlay, &mapping);
+        let constrained = simulate_with(
+            &instance,
+            s2.as_mut(),
+            &mut medium,
+            &SimConfig::default(),
+            &mut rng2,
+        );
+        assert_eq!(pure.schedule, constrained.report.schedule);
+        assert_eq!(constrained.rejected_per_step.iter().sum::<u64>(), 0);
+    }
 
     #[test]
     fn ideal_passes_static_caps_through() {

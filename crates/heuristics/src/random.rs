@@ -5,15 +5,20 @@
 //! Each vertex then independently chooses at random which tokens to send
 //! over the edge." It floods — any token the peer lacks is fair game,
 //! wanted or not — but never re-sends what the peer already holds.
+//!
+//! The rule is per arc ([`ShardedRandom`]); [`RandomUseful`] runs it
+//! serially and [`Sharded`](crate::Sharded) across vertex ranges.
 
 use crate::policy::random_fill;
-use crate::{KnowledgeTier, Strategy, WorldView};
+use crate::shard::plan_serially;
+use crate::{KnowledgeTier, Strategy, VertexStrategy, WorldView};
 use ocd_core::{Instance, TokenSet};
 use ocd_graph::EdgeId;
 use rand::RngCore;
 
 /// Random-useful flooding: per arc, a uniform random subset (of size up
 /// to the capacity) of the tokens the sender has and the receiver lacks.
+/// Plans every arc in id order on the engine's one RNG.
 #[derive(Debug, Default)]
 pub struct RandomUseful;
 
@@ -31,7 +36,7 @@ impl Strategy for RandomUseful {
     }
 
     fn tier(&self) -> KnowledgeTier {
-        KnowledgeTier::PeerState
+        ShardedRandom.tier()
     }
 
     fn reset(&mut self, _instance: &Instance) {}
@@ -41,22 +46,48 @@ impl Strategy for RandomUseful {
         view: &WorldView<'_>,
         rng: &mut dyn RngCore,
     ) -> Vec<(EdgeId, TokenSet)> {
-        let g = view.graph();
-        let mut out = Vec::new();
-        for e in g.edge_ids() {
-            let arc = g.edge(e);
-            let cap = view.capacity(e) as usize;
-            if cap == 0 {
-                continue;
-            }
-            let candidates =
-                view.possession[arc.src.index()].difference(&view.possession[arc.dst.index()]);
-            if candidates.is_empty() {
-                continue;
-            }
-            out.push((e, random_fill(candidates, cap, rng)));
+        plan_serially(&ShardedRandom, view, rng)
+    }
+}
+
+/// The Random rule, run across vertex ranges by
+/// [`Sharded`](crate::Sharded): each arc carries a uniform random subset
+/// of the tokens its sender has and its receiver lacks.
+#[derive(Debug, Default)]
+pub struct ShardedRandom;
+
+impl ShardedRandom {
+    /// Creates the strategy.
+    #[must_use]
+    pub fn new() -> Self {
+        ShardedRandom
+    }
+}
+
+impl VertexStrategy for ShardedRandom {
+    fn name(&self) -> &'static str {
+        "sharded-random"
+    }
+
+    fn tier(&self) -> KnowledgeTier {
+        KnowledgeTier::PeerState
+    }
+
+    fn plan_arc(
+        &self,
+        view: &WorldView<'_>,
+        e: EdgeId,
+        _request: Option<&TokenSet>,
+        rng: &mut dyn RngCore,
+    ) -> Option<TokenSet> {
+        let cap = view.capacity(e) as usize;
+        if cap == 0 {
+            return None;
         }
-        out
+        let arc = view.graph().edge(e);
+        let candidates =
+            view.possession[arc.src.index()].difference(&view.possession[arc.dst.index()]);
+        (!candidates.is_empty()).then(|| random_fill(candidates, cap, rng))
     }
 }
 

@@ -101,7 +101,7 @@ mod tests {
             possession: &possession,
             aggregates: &aggregates,
             step: 0,
-            capacities: None,
+            capacities: &[2],
         };
         let s1 = rr.plan_step(&view, &mut rng);
         assert_eq!(s1.len(), 1);

@@ -50,10 +50,9 @@ pub struct WorldView<'a> {
     /// Effective per-arc capacity *this step*, indexed by
     /// [`EdgeId::index`]. Equal to the graph's static capacities in
     /// ordinary runs; under [`dynamics`](crate::dynamics) a capacity may
-    /// differ or be 0 (link down). `None` means "use the graph's static
-    /// capacities" — strategies must read capacities through
-    /// [`WorldView::capacity`], never from the graph directly.
-    pub capacities: Option<&'a [u32]>,
+    /// differ or be 0 (link down) — strategies must read capacities
+    /// here or through [`WorldView::capacity`], never from the graph.
+    pub capacities: &'a [u32],
 }
 
 impl WorldView<'_> {
@@ -66,10 +65,7 @@ impl WorldView<'_> {
     /// Effective capacity of arc `e` at this timestep (0 = unusable).
     #[must_use]
     pub fn capacity(&self, e: EdgeId) -> u32 {
-        match self.capacities {
-            Some(caps) => caps[e.index()],
-            None => self.instance.graph().capacity(e),
-        }
+        self.capacities[e.index()]
     }
 
     /// Current possession of `v`.
@@ -151,7 +147,7 @@ mod tests {
             possession: &possession,
             aggregates: &aggregates,
             step: 0,
-            capacities: None,
+            capacities: &[1, 1, 1, 1],
         };
         let v1 = instance.graph().node(1);
         assert_eq!(view.need_of(v1).len(), 2);
