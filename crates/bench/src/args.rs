@@ -53,14 +53,22 @@ impl ExpArgs {
                 exit(2);
             }
             Ok(Some((exp, own))) => {
-                if let Err(e) = std::fs::create_dir_all(&exp.out_dir) {
-                    eprintln!("error: cannot create --out directory {}: {e}", exp.out_dir);
-                    exit(1);
-                }
+                let created = std::fs::create_dir_all(&exp.out_dir);
+                create_or_exit("--out directory", &exp.out_dir, created);
                 (exp, own)
             }
         }
     }
+}
+
+/// Unwraps `created`, the result of creating the `what` at `path` that
+/// an output flag names; on failure prints an error naming both and
+/// exits 1. Binaries call it before any work.
+pub fn create_or_exit<T>(what: &str, path: &str, created: std::io::Result<T>) -> T {
+    created.unwrap_or_else(|e| {
+        eprintln!("error: cannot create {what} {path}: {e}");
+        exit(1)
+    })
 }
 
 /// Reads `args` for the experiment binary `program`: `None` when they

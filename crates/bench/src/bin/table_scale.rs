@@ -17,7 +17,7 @@
 //! Usage: `table_scale [--quick | --full] [--seed <u64>] [--out <dir>]
 //! [--shards <n>] [--tokens <m>] [--emit-schedules <dir>]`
 
-use ocd_bench::args::ExpArgs;
+use ocd_bench::args::{create_or_exit, ExpArgs};
 use ocd_bench::table::Table;
 use ocd_core::scenario::single_file;
 use ocd_core::Instance;
@@ -64,6 +64,13 @@ fn main() {
             f.value("emit-schedules")?,
         ))
     });
+    if let Some(dir) = &emit_schedules {
+        create_or_exit(
+            "--emit-schedules directory",
+            dir,
+            std::fs::create_dir_all(dir),
+        );
+    }
     let sizes: &[usize] = match (args.quick, full) {
         (true, _) => &[10_000],
         (false, false) => &[10_000, 100_000],
@@ -118,7 +125,6 @@ fn main() {
                     report.bandwidth
                 );
                 if let Some(dir) = &emit_schedules {
-                    std::fs::create_dir_all(dir).expect("create schedule dir");
                     let path = format!("{dir}/{kind}_{}_n{actual_n}.json", strategy.name());
                     let json = serde_json::to_string(&report.schedule).expect("serialize schedule");
                     std::fs::write(&path, json).expect("write schedule artifact");

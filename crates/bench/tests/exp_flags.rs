@@ -1,7 +1,9 @@
 //! Flag and output handling of the experiment binaries, driven through
 //! the built executables: `--help` is usage on stdout with exit 0, a
 //! flag the sweep never reads is a usage error (exit 2), and an `--out`
-//! directory that cannot be created fails (exit 1) before any work.
+//! directory, `table_exact --emit` file or `table_scale
+//! --emit-schedules` directory that cannot be created fails (exit 1)
+//! before any work.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -91,6 +93,41 @@ fn unusable_out_fails_before_the_sweep() {
             "{bin} does not name the path: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{bin} started its sweep");
+    }
+}
+
+#[test]
+fn unusable_artifact_paths_fail_before_the_sweep() {
+    let dir = scratch("artifacts");
+    let file = dir.join("regular-file");
+    std::fs::write(&file, "").unwrap();
+    let missing = dir.join("missing").join("exact.json");
+    let under_file = file.join("schedules");
+    let out = dir.to_str().unwrap();
+    for (bin, flag, bad) in [
+        (
+            env!("CARGO_BIN_EXE_table_exact"),
+            "--emit",
+            missing.to_str().unwrap(),
+        ),
+        (
+            env!("CARGO_BIN_EXE_table_scale"),
+            "--emit-schedules",
+            under_file.to_str().unwrap(),
+        ),
+    ] {
+        let output = run(bin, &["--quick", "--out", out, flag, bad]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{bin} {flag} {bad}: {stderr}"
+        );
+        assert!(
+            stderr.contains(bad),
+            "{bin} does not name the path: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{bin} started its sweep");
     }
 }
 
