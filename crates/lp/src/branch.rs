@@ -40,6 +40,9 @@ use std::sync::Arc;
 /// `threads` setting; see the module docs.
 const BATCH_WIDTH: usize = 8;
 
+/// Values within this of an integer count as integral.
+const INTEGRALITY_TOL: f64 = 1e-6;
+
 /// Tuning knobs for [`Problem::solve_mip`].
 #[derive(Debug, Clone)]
 pub struct MipOptions {
@@ -48,8 +51,6 @@ pub struct MipOptions {
     pub node_limit: usize,
     /// A solution within this of the best bound counts as optimal.
     pub absolute_gap: f64,
-    /// Values within this of an integer count as integral.
-    pub integrality_tol: f64,
     /// Worker threads for the per-round LP solves (clamped to ≥ 1).
     /// Any value produces bit-identical results; > 1 is only faster.
     pub threads: usize,
@@ -60,7 +61,6 @@ impl Default for MipOptions {
         MipOptions {
             node_limit: 200_000,
             absolute_gap: 1e-6,
-            integrality_tol: 1e-6,
             threads: 1,
         }
     }
@@ -355,7 +355,7 @@ pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
             }
             // Find the most fractional integer variable.
             let mut branch_var = None;
-            let mut best_frac = options.integrality_tol;
+            let mut best_frac = INTEGRALITY_TOL;
             for &j in &integer_vars {
                 let v = values[j];
                 let frac = (v - v.round()).abs();
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn pure_lp_passes_through() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, 3.5, 1.0);
+        let x = p.add_continuous(0.0, 3.5, 1.0);
         let s = p.solve_mip(&MipOptions::default()).unwrap();
         assert!((s.value(x) - 3.5).abs() < 1e-6);
     }
@@ -451,9 +451,9 @@ mod tests {
     fn knapsack_optimum() {
         // max 10a + 13b + 7c, 3a + 4b + 2c ≤ 6 → {a, c} = 17 vs {b, c} = 20.
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_binary("a", 10.0);
-        let b = p.add_binary("b", 13.0);
-        let c = p.add_binary("c", 7.0);
+        let a = p.add_binary(10.0);
+        let b = p.add_binary(13.0);
+        let c = p.add_binary(7.0);
         p.add_constraint([(a, 3.0), (b, 4.0), (c, 2.0)], Relation::Le, 6.0);
         let s = p.solve_mip(&MipOptions::default()).unwrap();
         assert_eq!(s.objective.round() as i64, 20);
@@ -468,7 +468,7 @@ mod tests {
     fn integrality_changes_the_answer() {
         // max x, 2x ≤ 5 → LP: 2.5, IP: 2.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", VarKind::Integer, 0.0, 10.0, 1.0);
+        let x = p.add_var(VarKind::Integer, 0.0, 10.0, 1.0);
         p.add_constraint([(x, 2.0)], Relation::Le, 5.0);
         assert!((p.solve_lp().unwrap().objective - 2.5).abs() < 1e-6);
         let s = p.solve_mip(&MipOptions::default()).unwrap();
@@ -479,7 +479,7 @@ mod tests {
     fn infeasible_integrality() {
         // 0.4 ≤ x ≤ 0.6 with x integer: LP feasible, IP infeasible.
         let mut p = Problem::new(Sense::Minimize);
-        let _x = p.add_var("x", VarKind::Integer, 0.4, 0.6, 1.0);
+        let _x = p.add_var(VarKind::Integer, 0.4, 0.6, 1.0);
         assert!(p.solve_lp().is_ok());
         assert_eq!(
             p.solve_mip(&MipOptions::default()).unwrap_err(),
@@ -499,9 +499,7 @@ mod tests {
             vec![0, 3],
             vec![0, 1, 2],
         ];
-        let vars: Vec<_> = (0..sets.len())
-            .map(|i| p.add_binary(format!("s{i}"), 1.0))
-            .collect();
+        let vars: Vec<_> = (0..sets.len()).map(|_| p.add_binary(1.0)).collect();
         for elem in 0..4 {
             let covering: Vec<_> = sets
                 .iter()
@@ -521,12 +519,8 @@ mod tests {
         let costs = [[1.0, 5.0, 9.0], [5.0, 2.0, 7.0], [9.0, 7.0, 3.0]];
         let mut p = Problem::new(Sense::Minimize);
         let mut x = Vec::new();
-        for (i, row) in costs.iter().enumerate() {
-            let mut r = Vec::new();
-            for (j, &c) in row.iter().enumerate() {
-                r.push(p.add_binary(format!("x{i}{j}"), c));
-            }
-            x.push(r);
+        for row in &costs {
+            x.push(row.iter().map(|&c| p.add_binary(c)).collect::<Vec<_>>());
         }
         for i in 0..3 {
             p.add_constraint((0..3).map(|j| (x[i][j], 1.0)), Relation::Eq, 1.0);
@@ -544,11 +538,7 @@ mod tests {
         // A small hard-ish instance with a tiny node budget.
         let mut p = Problem::new(Sense::Maximize);
         let weights = [91.0, 72.0, 90.0, 46.0, 55.0, 8.0, 35.0, 75.0, 61.0, 15.0];
-        let vars: Vec<_> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| p.add_binary(format!("x{i}"), w + 0.5))
-            .collect();
+        let vars: Vec<_> = weights.iter().map(|&w| p.add_binary(w + 0.5)).collect();
         p.add_constraint(
             vars.iter().copied().zip(weights.iter().copied()),
             Relation::Le,
@@ -567,8 +557,8 @@ mod tests {
         // max 7x + 2y, 3x + y ≤ 10, x,y ∈ ℤ, 0 ≤ x,y ≤ 10.
         // LP: x = 10/3 → IP: x=3,y=1 → 23; or x=2,y=4 → 22. Optimal 23.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", VarKind::Integer, 0.0, 10.0, 7.0);
-        let y = p.add_var("y", VarKind::Integer, 0.0, 10.0, 2.0);
+        let x = p.add_var(VarKind::Integer, 0.0, 10.0, 7.0);
+        let y = p.add_var(VarKind::Integer, 0.0, 10.0, 2.0);
         p.add_constraint([(x, 3.0), (y, 1.0)], Relation::Le, 10.0);
         let s = p.solve_mip(&MipOptions::default()).unwrap();
         assert_eq!(s.objective.round() as i64, 23);
@@ -584,11 +574,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let weights = [91.0, 72.0, 90.0, 46.0, 55.0, 8.0, 35.0, 75.0, 61.0, 15.0];
         let values = [84.0, 83.0, 43.0, 4.0, 44.0, 6.0, 82.0, 92.0, 25.0, 83.0];
-        let vars: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| p.add_binary(format!("x{i}"), v))
-            .collect();
+        let vars: Vec<_> = values.iter().map(|&v| p.add_binary(v)).collect();
         p.add_constraint(
             vars.iter().copied().zip(weights.iter().copied()),
             Relation::Le,
@@ -628,11 +614,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let weights = [91.0, 72.0, 90.0, 46.0, 55.0, 8.0, 35.0, 75.0, 61.0, 15.0];
         let values = [84.0, 83.0, 43.0, 4.0, 44.0, 6.0, 82.0, 92.0, 25.0, 83.0];
-        let vars: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| p.add_binary(format!("x{i}"), v))
-            .collect();
+        let vars: Vec<_> = values.iter().map(|&v| p.add_binary(v)).collect();
         p.add_constraint(
             vars.iter().copied().zip(weights.iter().copied()),
             Relation::Le,
@@ -702,11 +684,7 @@ mod tests {
             let nc = rng.random_range(1..4usize);
             let mut p = Problem::new(Sense::Maximize);
             let obj: Vec<f64> = (0..nv).map(|_| rng.random_range(-5.0..9.0)).collect();
-            let vars: Vec<_> = obj
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| p.add_binary(format!("x{i}"), c))
-                .collect();
+            let vars: Vec<_> = obj.iter().map(|&c| p.add_binary(c)).collect();
             let mut cons = Vec::new();
             for _ in 0..nc {
                 let coeffs: Vec<f64> = (0..nv)

@@ -36,9 +36,9 @@
 //! use ocd_lp::{Problem, Relation, Sense};
 //!
 //! let mut p = Problem::new(Sense::Maximize);
-//! let x = p.add_binary("x", 3.0);
-//! let y = p.add_binary("y", 4.0);
-//! let z = p.add_binary("z", 5.0);
+//! let x = p.add_binary(3.0);
+//! let y = p.add_binary(4.0);
+//! let z = p.add_binary(5.0);
 //! p.add_constraint([(x, 2.0), (y, 3.0), (z, 4.0)], Relation::Le, 5.0);
 //! let sol = p.solve_mip(&Default::default()).unwrap();
 //! assert_eq!(sol.objective.round() as i64, 7);

@@ -75,7 +75,6 @@ impl fmt::Display for Relation {
 /// [`Problem::to_lp_format`]) transpose on demand.
 #[derive(Debug, Clone)]
 pub(crate) struct VarDef {
-    pub name: String,
     pub kind: VarKind,
     pub lower: f64,
     pub upper: f64,
@@ -184,17 +183,9 @@ impl Problem {
     ///
     /// `upper` may be `f64::INFINITY`; `lower` must be finite (the
     /// simplex shifts variables to a zero lower bound).
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        kind: VarKind,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
+    pub fn add_var(&mut self, kind: VarKind, lower: f64, upper: f64, objective: f64) -> VarId {
         let id = VarId(self.vars.len());
         self.vars.push(VarDef {
-            name: name.into(),
             kind,
             lower,
             upper,
@@ -205,19 +196,13 @@ impl Problem {
     }
 
     /// Adds a continuous variable on `[lower, upper]`.
-    pub fn add_continuous(
-        &mut self,
-        name: impl Into<String>,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
-        self.add_var(name, VarKind::Continuous, lower, upper, objective)
+    pub fn add_continuous(&mut self, lower: f64, upper: f64, objective: f64) -> VarId {
+        self.add_var(VarKind::Continuous, lower, upper, objective)
     }
 
     /// Adds a 0/1 integer variable.
-    pub fn add_binary(&mut self, name: impl Into<String>, objective: f64) -> VarId {
-        self.add_var(name, VarKind::Integer, 0.0, 1.0, objective)
+    pub fn add_binary(&mut self, objective: f64) -> VarId {
+        self.add_var(VarKind::Integer, 0.0, 1.0, objective)
     }
 
     /// Adds the constraint `Σ coef·var  relation  rhs`. Repeated
@@ -270,14 +255,13 @@ impl Problem {
     /// consumes, with no row-major intermediate.
     pub fn add_column(
         &mut self,
-        name: impl Into<String>,
         kind: VarKind,
         lower: f64,
         upper: f64,
         objective: f64,
         entries: impl IntoIterator<Item = (ConId, f64)>,
     ) -> VarId {
-        let id = self.add_var(name, kind, lower, upper, objective);
+        let id = self.add_var(kind, lower, upper, objective);
         for (con, coeff) in entries {
             debug_assert!(
                 con.0 < self.constraints.len(),
@@ -455,12 +439,6 @@ impl Problem {
         out.push_str("End\n");
         out
     }
-
-    /// Name of a variable (for diagnostics).
-    #[must_use]
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
 }
 
 #[cfg(test)]
@@ -470,13 +448,12 @@ mod tests {
     #[test]
     fn build_and_introspect() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, 10.0, 1.0);
-        let y = p.add_binary("y", -2.0);
+        let x = p.add_continuous(0.0, 10.0, 1.0);
+        let y = p.add_binary(-2.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.num_constraints(), 1);
         assert!(p.has_integers());
-        assert_eq!(p.var_name(x), "x");
         assert_eq!(x.index(), 0);
         assert_eq!(y.index(), 1);
     }
@@ -484,7 +461,7 @@ mod tests {
     #[test]
     fn duplicate_terms_merge() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, 1.0, 1.0);
+        let x = p.add_continuous(0.0, 1.0, 1.0);
         p.add_constraint([(x, 1.0), (x, 2.0)], Relation::Eq, 3.0);
         assert_eq!(p.vars[0].entries, vec![(0, 3.0)]);
         assert_eq!(p.rows(), vec![vec![(0, 3.0)]]);
@@ -496,8 +473,8 @@ mod tests {
         // storage must be identical.
         let build_rowwise = || {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_continuous("x", 0.0, 4.0, 1.0);
-            let y = p.add_continuous("y", 0.0, 4.0, 2.0);
+            let x = p.add_continuous(0.0, 4.0, 1.0);
+            let y = p.add_continuous(0.0, 4.0, 2.0);
             p.add_constraint([(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
             p.add_constraint([(y, -1.0)], Relation::Ge, -2.0);
             p
@@ -506,15 +483,8 @@ mod tests {
             let mut p = Problem::new(Sense::Minimize);
             let c0 = p.new_constraint(Relation::Le, 6.0);
             let c1 = p.new_constraint(Relation::Ge, -2.0);
-            p.add_column("x", VarKind::Continuous, 0.0, 4.0, 1.0, [(c0, 1.0)]);
-            p.add_column(
-                "y",
-                VarKind::Continuous,
-                0.0,
-                4.0,
-                2.0,
-                [(c0, 3.0), (c1, -1.0)],
-            );
+            p.add_column(VarKind::Continuous, 0.0, 4.0, 1.0, [(c0, 1.0)]);
+            p.add_column(VarKind::Continuous, 0.0, 4.0, 2.0, [(c0, 3.0), (c1, -1.0)]);
             p
         };
         let a = build_rowwise();
@@ -528,8 +498,8 @@ mod tests {
     #[test]
     fn lp_format_mentions_everything() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_binary("x", 3.0);
-        let y = p.add_continuous("y", 1.0, f64::INFINITY, 0.5);
+        let x = p.add_binary(3.0);
+        let y = p.add_continuous(1.0, f64::INFINITY, 0.5);
         p.add_constraint([(x, 2.0), (y, -1.0)], Relation::Ge, 0.0);
         let text = p.to_lp_format();
         assert!(text.contains("Maximize"));

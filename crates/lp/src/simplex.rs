@@ -377,8 +377,8 @@ mod tests {
     fn textbook_maximization() {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 → (2, 6), obj 36.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 5.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 3.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 5.0);
         p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
         p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
         p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
@@ -396,10 +396,10 @@ mod tests {
         // basis-signature detector must latch Bland's rule and reach the
         // optimum, −1 at (1, 0, 1, 0).
         let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_continuous("x1", 0.0, f64::INFINITY, -10.0);
-        let x2 = p.add_continuous("x2", 0.0, f64::INFINITY, 57.0);
-        let x3 = p.add_continuous("x3", 0.0, f64::INFINITY, 9.0);
-        let x4 = p.add_continuous("x4", 0.0, f64::INFINITY, 24.0);
+        let x1 = p.add_continuous(0.0, f64::INFINITY, -10.0);
+        let x2 = p.add_continuous(0.0, f64::INFINITY, 57.0);
+        let x3 = p.add_continuous(0.0, f64::INFINITY, 9.0);
+        let x4 = p.add_continuous(0.0, f64::INFINITY, 24.0);
         p.add_constraint(
             [(x1, 0.5), (x2, -5.5), (x3, -2.5), (x4, 9.0)],
             Relation::Le,
@@ -421,8 +421,8 @@ mod tests {
     fn minimization_with_ge_rows_uses_phase_one() {
         // min 2x + 3y s.t. x + y ≥ 4, x + 2y ≥ 6 → (2, 2), obj 10.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 2.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 3.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 2.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 3.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
         p.add_constraint([(x, 1.0), (y, 2.0)], Relation::Ge, 6.0);
         let s = p.solve_lp_dense().unwrap();
@@ -435,8 +435,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + y = 5, x - y = 1 → (3, 2), obj 5.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 1.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
         p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
         let s = p.solve_lp_dense().unwrap();
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, 10.0, 1.0);
+        let x = p.add_continuous(0.0, 10.0, 1.0);
         p.add_constraint([(x, 1.0)], Relation::Ge, 5.0);
         p.add_constraint([(x, 1.0)], Relation::Le, 3.0);
         assert_eq!(p.solve_lp_dense().unwrap_err(), LpError::Infeasible);
@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 1.0);
         p.add_constraint([(x, -1.0)], Relation::Le, 1.0);
         assert_eq!(p.solve_lp_dense().unwrap_err(), LpError::Unbounded);
     }
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn bounded_by_variable_upper_bounds_only() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, 7.0, 2.0);
+        let x = p.add_continuous(0.0, 7.0, 2.0);
         let s = p.solve_lp_dense().unwrap();
         assert_close(s.objective, 14.0);
         assert_close(s.value(x), 7.0);
@@ -475,8 +475,8 @@ mod tests {
         // min x + y, x ≥ 2, y ∈ [3, 10], x + y ≥ 7 → x=2..? obj at
         // (2, 5) = 7? or (4, 3) = 7. Optimum value 7 either way.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 2.0, f64::INFINITY, 1.0);
-        let y = p.add_continuous("y", 3.0, 10.0, 1.0);
+        let x = p.add_continuous(2.0, f64::INFINITY, 1.0);
+        let y = p.add_continuous(3.0, 10.0, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 7.0);
         let s = p.solve_lp_dense().unwrap();
         assert_close(s.objective, 7.0);
@@ -488,7 +488,7 @@ mod tests {
     fn negative_lower_bounds() {
         // min x with x ∈ [-5, 5] → -5.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", -5.0, 5.0, 1.0);
+        let x = p.add_continuous(-5.0, 5.0, 1.0);
         let s = p.solve_lp_dense().unwrap();
         assert_close(s.value(x), -5.0);
     }
@@ -496,7 +496,7 @@ mod tests {
     #[test]
     fn infinite_lower_bound_rejected() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", f64::NEG_INFINITY, 0.0, 1.0);
+        let x = p.add_continuous(f64::NEG_INFINITY, 0.0, 1.0);
         assert_eq!(
             p.solve_lp_dense().unwrap_err(),
             LpError::UnsupportedBound { var: x }
@@ -506,8 +506,8 @@ mod tests {
     #[test]
     fn fixed_variable() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 4.0, 4.0, 3.0);
-        let y = p.add_continuous("y", 0.0, 2.0, 1.0);
+        let x = p.add_continuous(4.0, 4.0, 3.0);
+        let y = p.add_continuous(0.0, 2.0, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
         let s = p.solve_lp_dense().unwrap();
         assert_close(s.value(x), 4.0);
@@ -520,10 +520,10 @@ mod tests {
         // Classic cycling-prone instance (Beale): without anti-cycling,
         // Dantzig's rule can loop forever.
         let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_continuous("x1", 0.0, f64::INFINITY, -0.75);
-        let x2 = p.add_continuous("x2", 0.0, f64::INFINITY, 150.0);
-        let x3 = p.add_continuous("x3", 0.0, f64::INFINITY, -0.02);
-        let x4 = p.add_continuous("x4", 0.0, f64::INFINITY, 6.0);
+        let x1 = p.add_continuous(0.0, f64::INFINITY, -0.75);
+        let x2 = p.add_continuous(0.0, f64::INFINITY, 150.0);
+        let x3 = p.add_continuous(0.0, f64::INFINITY, -0.02);
+        let x4 = p.add_continuous(0.0, f64::INFINITY, 6.0);
         p.add_constraint(
             [(x1, 0.25), (x2, -60.0), (x3, -1.0 / 25.0), (x4, 9.0)],
             Relation::Le,
@@ -543,8 +543,8 @@ mod tests {
     fn redundant_equalities_survive_phase_one() {
         // x + y = 4 stated twice; optimum unaffected.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 2.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 1.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 2.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
         let s = p.solve_lp_dense().unwrap();
@@ -573,7 +573,7 @@ mod tests {
             let nc = rng.random_range(1..4usize);
             let mut p = Problem::new(Sense::Maximize);
             let vars: Vec<_> = (0..nv)
-                .map(|i| p.add_continuous(format!("v{i}"), 0.0, 1.0, rng.random_range(-3.0..3.0)))
+                .map(|_| p.add_continuous(0.0, 1.0, rng.random_range(-3.0..3.0)))
                 .collect();
             let mut cons = Vec::new();
             for _ in 0..nc {

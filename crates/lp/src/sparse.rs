@@ -780,8 +780,8 @@ mod tests {
     fn textbook_maximization() {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 → (2, 6), obj 36.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 5.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 3.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 5.0);
         p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
         p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
         p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
@@ -795,8 +795,8 @@ mod tests {
     fn ge_rows_need_phase_one() {
         // min 2x + 3y s.t. x + y ≥ 4, x + 2y ≥ 6 → (2, 2), obj 10.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 2.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 3.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 2.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 3.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
         p.add_constraint([(x, 1.0), (y, 2.0)], Relation::Ge, 6.0);
         let s = p.solve_lp().unwrap();
@@ -809,8 +809,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + y = 5, x − y = 1 → (3, 2).
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 1.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 5.0);
         p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
         let s = p.solve_lp().unwrap();
@@ -821,7 +821,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, 10.0, 1.0);
+        let x = p.add_continuous(0.0, 10.0, 1.0);
         p.add_constraint([(x, 1.0)], Relation::Ge, 5.0);
         p.add_constraint([(x, 1.0)], Relation::Le, 3.0);
         assert_eq!(p.solve_lp().unwrap_err(), LpError::Infeasible);
@@ -830,7 +830,7 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 1.0);
         p.add_constraint([(x, -1.0)], Relation::Le, 1.0);
         assert_eq!(p.solve_lp().unwrap_err(), LpError::Unbounded);
     }
@@ -839,7 +839,7 @@ mod tests {
     fn implicit_upper_bounds_bind() {
         // No constraint rows at all: the box does the bounding.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 0.0, 7.0, 2.0);
+        let x = p.add_continuous(0.0, 7.0, 2.0);
         let s = p.solve_lp().unwrap();
         assert_close(s.objective, 14.0);
         assert_close(s.value(x), 7.0);
@@ -848,9 +848,9 @@ mod tests {
     #[test]
     fn nonzero_and_negative_lower_bounds() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 2.0, f64::INFINITY, 1.0);
-        let y = p.add_continuous("y", 3.0, 10.0, 1.0);
-        let z = p.add_continuous("z", -5.0, 5.0, 1.0);
+        let x = p.add_continuous(2.0, f64::INFINITY, 1.0);
+        let y = p.add_continuous(3.0, 10.0, 1.0);
+        let z = p.add_continuous(-5.0, 5.0, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 7.0);
         let s = p.solve_lp().unwrap();
         assert_close(s.objective, 7.0 - 5.0);
@@ -862,8 +862,8 @@ mod tests {
     #[test]
     fn fixed_variable() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_continuous("x", 4.0, 4.0, 3.0);
-        let y = p.add_continuous("y", 0.0, 2.0, 1.0);
+        let x = p.add_continuous(4.0, 4.0, 3.0);
+        let y = p.add_continuous(0.0, 2.0, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
         let s = p.solve_lp().unwrap();
         assert_close(s.value(x), 4.0);
@@ -874,7 +874,7 @@ mod tests {
     #[test]
     fn infinite_lower_bound_rejected() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", f64::NEG_INFINITY, 0.0, 1.0);
+        let x = p.add_continuous(f64::NEG_INFINITY, 0.0, 1.0);
         assert_eq!(
             p.solve_lp().unwrap_err(),
             LpError::UnsupportedBound { var: x }
@@ -884,10 +884,10 @@ mod tests {
     #[test]
     fn beale_degenerate_instance_terminates() {
         let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_continuous("x1", 0.0, f64::INFINITY, -0.75);
-        let x2 = p.add_continuous("x2", 0.0, f64::INFINITY, 150.0);
-        let x3 = p.add_continuous("x3", 0.0, f64::INFINITY, -0.02);
-        let x4 = p.add_continuous("x4", 0.0, f64::INFINITY, 6.0);
+        let x1 = p.add_continuous(0.0, f64::INFINITY, -0.75);
+        let x2 = p.add_continuous(0.0, f64::INFINITY, 150.0);
+        let x3 = p.add_continuous(0.0, f64::INFINITY, -0.02);
+        let x4 = p.add_continuous(0.0, f64::INFINITY, 6.0);
         p.add_constraint(
             [(x1, 0.25), (x2, -60.0), (x3, -1.0 / 25.0), (x4, 9.0)],
             Relation::Le,
@@ -906,8 +906,8 @@ mod tests {
     #[test]
     fn redundant_equalities_survive() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_continuous("y", 0.0, f64::INFINITY, 2.0);
+        let x = p.add_continuous(0.0, f64::INFINITY, 1.0);
+        let y = p.add_continuous(0.0, f64::INFINITY, 2.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
         let s = p.solve_lp().unwrap();
@@ -931,7 +931,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let n = 12;
         let vars: Vec<_> = (0..n)
-            .map(|i| p.add_continuous(format!("x{i}"), 0.0, 1.0, 1.0 + 0.25 * i as f64))
+            .map(|i| p.add_continuous(0.0, 1.0, 1.0 + 0.25 * i as f64))
             .collect();
         for k in 0..4 {
             let terms: Vec<_> = (0..n)
@@ -963,11 +963,11 @@ mod tests {
     #[test]
     fn stale_basis_is_ignored_not_fatal() {
         let mut small = Problem::new(Sense::Maximize);
-        let x = small.add_continuous("x", 0.0, 2.0, 1.0);
+        let x = small.add_continuous(0.0, 2.0, 1.0);
         let (_, tiny_basis, _) = small.solve_lp_with_basis(&[0.0], &[2.0], None).unwrap();
         let mut big = Problem::new(Sense::Maximize);
-        let a = big.add_continuous("a", 0.0, 1.0, 1.0);
-        let b = big.add_continuous("b", 0.0, 1.0, 2.0);
+        let a = big.add_continuous(0.0, 1.0, 1.0);
+        let b = big.add_continuous(0.0, 1.0, 2.0);
         big.add_constraint([(a, 1.0), (b, 1.0)], Relation::Le, 1.5);
         let (sol, _, _) = big
             .solve_lp_with_basis(&[0.0, 0.0], &[1.0, 1.0], Some(&tiny_basis))
@@ -984,7 +984,7 @@ mod tests {
         let mut p = Problem::new(Sense::Minimize);
         let n = 150;
         let vars: Vec<_> = (0..n)
-            .map(|i| p.add_continuous(format!("x{i}"), 0.0, f64::INFINITY, 1.0 + (i % 7) as f64))
+            .map(|i| p.add_continuous(0.0, f64::INFINITY, 1.0 + (i % 7) as f64))
             .collect();
         for i in 0..n - 1 {
             p.add_constraint([(vars[i], 1.0), (vars[i + 1], 1.0)], Relation::Ge, 2.0);
@@ -1014,17 +1014,17 @@ mod tests {
         let mut problems: Vec<Problem> = Vec::new();
         {
             let mut p = Problem::new(Sense::Maximize);
-            let x = p.add_continuous("x", 0.0, 4.0, 3.0);
-            let y = p.add_continuous("y", 1.0, 6.0, 5.0);
+            let x = p.add_continuous(0.0, 4.0, 3.0);
+            let y = p.add_continuous(1.0, 6.0, 5.0);
             p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
             p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Ge, 2.0);
             problems.push(p);
         }
         {
             let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_continuous("x", -2.0, 2.0, 1.0);
-            let y = p.add_continuous("y", -2.0, 2.0, -1.0);
-            let z = p.add_continuous("z", 0.0, f64::INFINITY, 0.5);
+            let x = p.add_continuous(-2.0, 2.0, 1.0);
+            let y = p.add_continuous(-2.0, 2.0, -1.0);
+            let z = p.add_continuous(0.0, f64::INFINITY, 0.5);
             p.add_constraint([(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 1.0);
             p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Ge, -1.5);
             problems.push(p);

@@ -52,7 +52,7 @@ fn random_lp(seed: u64) -> RandomLp {
     };
     let mut problem = Problem::new(sense);
     let mut bounds = Vec::new();
-    for j in 0..n {
+    for _ in 0..n {
         let lower = grid(&mut rng, -8, 0);
         let upper = if rng.random_bool(0.25) {
             f64::INFINITY
@@ -60,7 +60,7 @@ fn random_lp(seed: u64) -> RandomLp {
             lower + grid(&mut rng, 0, 16)
         };
         let objective = grid(&mut rng, -12, 12);
-        let v = problem.add_continuous(format!("x{j}"), lower, upper, objective);
+        let v = problem.add_continuous(lower, upper, objective);
         bounds.push((v, lower, upper));
     }
     let mut rows = Vec::new();
@@ -131,11 +131,7 @@ fn random_ip(seed: u64) -> RandomIp {
     let m = rng.random_range(1..=4usize);
     let mut problem = Problem::new(Sense::Maximize);
     let profits: Vec<f64> = (0..n).map(|_| grid(&mut rng, 0, 16)).collect();
-    let vars: Vec<VarId> = profits
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| problem.add_binary(format!("b{j}"), c))
-        .collect();
+    let vars: Vec<VarId> = profits.iter().map(|&c| problem.add_binary(c)).collect();
     let mut rows = Vec::new();
     for _ in 0..m {
         let coeffs: Vec<f64> = (0..n).map(|_| grid(&mut rng, 0, 8)).collect();

@@ -20,13 +20,8 @@ fn random_assignment_problems_match_permutation_bruteforce() {
             .collect();
         let mut p = Problem::new(Sense::Minimize);
         let mut x = Vec::new();
-        for (i, row) in costs.iter().enumerate() {
-            x.push(
-                row.iter()
-                    .enumerate()
-                    .map(|(j, &c)| p.add_binary(format!("x{i}_{j}"), c))
-                    .collect::<Vec<_>>(),
-            );
+        for row in &costs {
+            x.push(row.iter().map(|&c| p.add_binary(c)).collect::<Vec<_>>());
         }
         for i in 0..n {
             p.add_constraint((0..n).map(|j| (x[i][j], 1.0)), Relation::Eq, 1.0);
@@ -87,8 +82,7 @@ fn random_weighted_set_cover_matches_subset_bruteforce() {
         let mut p = Problem::new(Sense::Minimize);
         let vars: Vec<_> = sets
             .iter()
-            .enumerate()
-            .map(|(i, (cost, _))| p.add_binary(format!("s{i}"), f64::from(*cost)))
+            .map(|(cost, _)| p.add_binary(f64::from(*cost)))
             .collect();
         for e in 0..universe {
             let covering: Vec<_> = sets
@@ -154,8 +148,7 @@ fn weak_duality_on_random_primal_dual_pairs() {
         let mut primal = Problem::new(Sense::Maximize);
         let xs: Vec<_> = c
             .iter()
-            .enumerate()
-            .map(|(j, &cj)| primal.add_continuous(format!("x{j}"), 0.0, f64::INFINITY, cj))
+            .map(|&cj| primal.add_continuous(0.0, f64::INFINITY, cj))
             .collect();
         for i in 0..m {
             primal.add_constraint(
@@ -167,8 +160,7 @@ fn weak_duality_on_random_primal_dual_pairs() {
         let mut dual = Problem::new(Sense::Minimize);
         let ys: Vec<_> = b
             .iter()
-            .enumerate()
-            .map(|(i, &bi)| dual.add_continuous(format!("y{i}"), 0.0, f64::INFINITY, bi))
+            .map(|&bi| dual.add_continuous(0.0, f64::INFINITY, bi))
             .collect();
         for j in 0..n {
             dual.add_constraint(
@@ -203,11 +195,7 @@ fn moderately_large_lp_terminates_accurately() {
     let m = 60;
     let mut p = Problem::new(Sense::Maximize);
     let obj: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0..5.0)).collect();
-    let vars: Vec<_> = obj
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| p.add_continuous(format!("x{j}"), 0.0, 3.0, c))
-        .collect();
+    let vars: Vec<_> = obj.iter().map(|&c| p.add_continuous(0.0, 3.0, c)).collect();
     let mut rows = Vec::new();
     for _ in 0..m {
         let coeffs: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..2.0)).collect();

@@ -201,14 +201,7 @@ fn build_ip(instance: &Instance, horizon: usize) -> Option<IpModel> {
                 } else if let Some(row) = want[v][t] {
                     entries.push((row, 1.0));
                 }
-                problem.add_column(
-                    format!("hold_{i}_{v}_{t}"),
-                    VarKind::Integer,
-                    0.0,
-                    1.0,
-                    0.0,
-                    entries,
-                );
+                problem.add_column(VarKind::Integer, 0.0, 1.0, 0.0, entries);
             }
         }
     }
@@ -235,14 +228,7 @@ fn build_ip(instance: &Instance, horizon: usize) -> Option<IpModel> {
                 if let Some(r) = dn[i][dst] {
                     entries.push((r, 1.0));
                 }
-                row.push(problem.add_column(
-                    format!("move_{i}_{}_{t}", e.index()),
-                    VarKind::Integer,
-                    0.0,
-                    1.0,
-                    1.0,
-                    entries,
-                ));
+                row.push(problem.add_column(VarKind::Integer, 0.0, 1.0, 1.0, entries));
             }
             per_edge.push(row);
         }
