@@ -9,48 +9,28 @@
 //!
 //! This wrapper idles for `diameter` steps (modelling the knowledge
 //! flood — knowledge messages are control traffic, not token bandwidth)
-//! and then delegates to an inner coordinated strategy. With an exact
-//! inner planner this realizes the additive-diameter bound exactly; with
-//! the [`GlobalGreedy`](crate::GlobalGreedy) default it is the practical
-//! approximation.
+//! and then delegates to the coordinated
+//! [`GlobalGreedy`](crate::GlobalGreedy). With an exact planner in its
+//! place this would realize the additive-diameter bound exactly; with
+//! the greedy it is the practical approximation.
 
 use crate::{GlobalGreedy, KnowledgeTier, Strategy, WorldView};
 use ocd_core::{Instance, TokenSet};
 use ocd_graph::{algo, EdgeId};
 use rand::RngCore;
 
-/// Idle for the graph diameter, then run a coordinated strategy.
-#[derive(Debug)]
-pub struct GatherThenPlan<S = GlobalGreedy> {
-    inner: S,
+/// Idle for the graph diameter, then run the global greedy heuristic.
+#[derive(Debug, Default)]
+pub struct GatherThenPlan {
+    inner: GlobalGreedy,
     gather_steps: usize,
 }
 
-impl GatherThenPlan<GlobalGreedy> {
+impl GatherThenPlan {
     /// Gather, then run the global greedy heuristic.
     #[must_use]
     pub fn new() -> Self {
-        GatherThenPlan {
-            inner: GlobalGreedy::new(),
-            gather_steps: 0,
-        }
-    }
-}
-
-impl Default for GatherThenPlan<GlobalGreedy> {
-    fn default() -> Self {
-        GatherThenPlan::new()
-    }
-}
-
-impl<S: Strategy> GatherThenPlan<S> {
-    /// Gather, then run `inner`.
-    #[must_use]
-    pub fn with_inner(inner: S) -> Self {
-        GatherThenPlan {
-            inner,
-            gather_steps: 0,
-        }
+        GatherThenPlan::default()
     }
 
     /// Steps spent gathering (the diameter computed at reset).
@@ -60,7 +40,7 @@ impl<S: Strategy> GatherThenPlan<S> {
     }
 }
 
-impl<S: Strategy> Strategy for GatherThenPlan<S> {
+impl Strategy for GatherThenPlan {
     fn name(&self) -> &'static str {
         "gather-then-plan"
     }

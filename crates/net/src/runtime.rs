@@ -539,7 +539,6 @@ impl Runtime<'_> {
             }
             let new = msg.tokens.difference(&self.possession[dst.index()]);
             self.vcount[dst.index()].duplicate_tokens += (len - new.len()) as u64;
-            self.vcount[dst.index()].received[MsgKind::Token.index()] += 1;
             self.lcount[msg.edge.index()].tokens_delivered += len as u64;
             let kind = EventKind::DataDeliver;
             self.event(now, kind, dst, Some(arc.src), Some(msg.edge), len);
@@ -603,7 +602,6 @@ impl Runtime<'_> {
             self.event(now, kind, to, Some(msg.from), None, 0);
             return;
         }
-        self.vcount[to.index()].received[msg.payload.kind().index()] += 1;
         let len = payload_len(&msg.payload);
         self.event(now, EventKind::CtrlDeliver, to, Some(msg.from), None, len);
         let g = self.instance.graph();

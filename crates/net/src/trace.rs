@@ -244,9 +244,6 @@ fn csv_opt(v: u32) -> String {
 pub struct VertexCounters {
     /// Messages sent, indexed by [`MsgKind::index`](crate::msg::MsgKind::index).
     pub sent: [u64; 4],
-    /// Messages received (and applied), indexed by
-    /// [`MsgKind::index`](crate::msg::MsgKind::index).
-    pub received: [u64; 4],
     /// Tokens delivered that the vertex already held.
     pub duplicate_tokens: u64,
     /// Request timers that expired (each triggers a backed-off retry).
