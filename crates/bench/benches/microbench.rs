@@ -17,9 +17,13 @@ use rand::prelude::*;
 
 fn bench_tokenset(c: &mut Criterion) {
     let mut group = c.benchmark_group("tokenset");
-    for &m in &[64usize, 512, 4096] {
+    // 128 is the largest universe stored inline, 129 the smallest boxed.
+    for &m in &[64usize, 128, 129, 512, 4096] {
         let a = TokenSet::from_tokens(m, (0..m).step_by(3).map(Token::new));
         let b = TokenSet::from_tokens(m, (0..m).step_by(5).map(Token::new));
+        group.bench_with_input(BenchmarkId::new("clone", m), &m, |bench, _| {
+            bench.iter(|| std::hint::black_box(a.clone()));
+        });
         group.bench_with_input(BenchmarkId::new("difference_len", m), &m, |bench, _| {
             bench.iter(|| std::hint::black_box(a.difference_len(&b)));
         });

@@ -4,10 +4,14 @@
 //! files can be represented as sets of tokens" (§3). Token universes in
 //! the paper's experiments are small (≤ 512), while set operations
 //! (union, difference, counting) dominate the simulator's inner loop —
-//! hence a dense bitset with word-parallel operations.
+//! hence a dense bitset with word-parallel operations. A set over at
+//! most 128 tokens keeps its two words inside the struct, so creating,
+//! cloning and dropping it never touches the heap; larger universes box
+//! their words.
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A unit-sized piece of content, identified by a dense index within its
 /// instance's token universe.
@@ -43,8 +47,55 @@ impl fmt::Display for Token {
 
 const BITS: usize = 64;
 
+/// Words a set stores inline; a universe needing more is boxed. Two
+/// words make the inline form exactly as large as the boxed one.
+const INLINE_WORDS: usize = 2;
+
+/// A set's bitset words: exactly `universe.div_ceil(64)` of them, inline
+/// when they fit in [`INLINE_WORDS`], boxed otherwise. The universe alone
+/// picks the variant, and inline words past the live ones stay zero, so
+/// the derived `PartialEq`, `Eq` and `Hash` compare sets by their members.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Blocks {
+    /// The words and how many of them are live.
+    Inline([u64; INLINE_WORDS], u8),
+    Heap(Box<[u64]>),
+}
+
+impl Blocks {
+    fn zeroed(words: usize) -> Self {
+        if words <= INLINE_WORDS {
+            Blocks::Inline([0; INLINE_WORDS], words as u8)
+        } else {
+            Blocks::Heap(vec![0; words].into_boxed_slice())
+        }
+    }
+}
+
+impl Deref for Blocks {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Blocks::Inline(words, live) => &words[..usize::from(*live)],
+            Blocks::Heap(words) => words,
+        }
+    }
+}
+
+impl DerefMut for Blocks {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Blocks::Inline(words, live) => &mut words[..usize::from(*live)],
+            Blocks::Heap(words) => words,
+        }
+    }
+}
+
 /// A set of [`Token`]s drawn from a fixed universe `0..universe`,
-/// represented as a dense bitset.
+/// represented as a dense bitset. Its words live inline for universes of
+/// up to 128 tokens and on the heap beyond that; both forms take 32
+/// bytes.
 ///
 /// All sets participating in one operation must share the same universe
 /// size; binary operations panic otherwise, catching instance mix-ups
@@ -66,8 +117,10 @@ const BITS: usize = 64;
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TokenSet {
     universe: u32,
-    blocks: Vec<u64>,
+    blocks: Blocks,
 }
+
+const _: () = assert!(std::mem::size_of::<TokenSet>() == 32);
 
 impl TokenSet {
     /// Creates an empty set over `0..universe`.
@@ -75,7 +128,7 @@ impl TokenSet {
     pub fn new(universe: usize) -> Self {
         TokenSet {
             universe: u32::try_from(universe).expect("universe exceeds u32::MAX"),
-            blocks: vec![0; universe.div_ceil(BITS)],
+            blocks: Blocks::zeroed(universe.div_ceil(BITS)),
         }
     }
 
@@ -83,7 +136,7 @@ impl TokenSet {
     #[must_use]
     pub fn full(universe: usize) -> Self {
         let mut set = TokenSet::new(universe);
-        for block in &mut set.blocks {
+        for block in set.blocks.iter_mut() {
             *block = u64::MAX;
         }
         set.clear_excess();
@@ -216,7 +269,7 @@ impl TokenSet {
     /// Panics if the universes differ.
     pub fn union_with(&mut self, other: &TokenSet) {
         self.check_same_universe(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *a |= b;
         }
     }
@@ -228,7 +281,7 @@ impl TokenSet {
     /// Panics if the universes differ.
     pub fn intersect_with(&mut self, other: &TokenSet) {
         self.check_same_universe(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *a &= b;
         }
     }
@@ -240,7 +293,7 @@ impl TokenSet {
     /// Panics if the universes differ.
     pub fn subtract(&mut self, other: &TokenSet) {
         self.check_same_universe(other);
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *a &= !b;
         }
     }
@@ -279,7 +332,7 @@ impl TokenSet {
         self.check_same_universe(other);
         self.blocks
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks.iter())
             .all(|(a, b)| a & !b == 0)
     }
 
@@ -293,7 +346,7 @@ impl TokenSet {
         self.check_same_universe(other);
         self.blocks
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks.iter())
             .any(|(a, b)| a & b != 0)
     }
 
@@ -307,22 +360,22 @@ impl TokenSet {
         self.check_same_universe(other);
         self.blocks
             .iter()
-            .zip(&other.blocks)
+            .zip(other.blocks.iter())
             .map(|(a, b)| (a & !b).count_ones() as usize)
             .sum()
     }
 
     /// Removes all tokens.
     pub fn clear(&mut self) {
-        for b in &mut self.blocks {
+        for b in self.blocks.iter_mut() {
             *b = 0;
         }
     }
 
     /// Overwrites `self` with the contents of `other` without
     /// allocating — the backbone of scratch-buffer reuse in the
-    /// simulation hot path (a derived `clone_from` would still allocate
-    /// through `Vec`'s generic path).
+    /// simulation hot path (the derived `clone_from` clones, which
+    /// allocates for a boxed set).
     ///
     /// # Panics
     ///
@@ -379,7 +432,7 @@ impl TokenSet {
     /// Used to clip a candidate send down to arc capacity.
     pub fn truncate(&mut self, n: usize) {
         let mut seen = 0usize;
-        for block in &mut self.blocks {
+        for block in self.blocks.iter_mut() {
             let ones = block.count_ones() as usize;
             if seen + ones <= n {
                 seen += ones;
@@ -465,78 +518,80 @@ impl Serialize for TokenSet {
 impl<'de> Deserialize<'de> for TokenSet {
     /// Reads what [`TokenSet::serialize`] writes, under the derived
     /// impls' rules: keys in any order, a repeated key's last value
-    /// wins, unknown keys are skipped. Members go straight into the
-    /// bitset. A member is an error if it lies outside the final
-    /// universe, or outside a universe read before it: when `universe`
-    /// comes first, as the writer puts it, a hostile member fails as it
-    /// is read instead of growing the bitset.
+    /// wins, unknown keys are skipped. A member is an error if it lies
+    /// outside the final universe, or outside a universe read before it:
+    /// when `universe` comes first, as the writer puts it, members go
+    /// straight into the set and a hostile one fails as it is read.
+    /// Members read before any universe wait as plain `u32`s, so a large
+    /// one costs four bytes, not a bitset reaching up to it.
     fn deserialize<D: Deserializer<'de> + ?Sized>(deserializer: &mut D) -> Result<Self, D::Error> {
-        let (mut universe, mut blocks) = (None, None);
+        let (mut universe, mut members) = (None, None);
         deserializer.begin_map()?;
         while let Some(key) = deserializer.next_key()? {
             match key {
                 "universe" => universe = Some(u32::deserialize(deserializer)?),
-                "tokens" => blocks = Some(read_members(deserializer, universe)?),
+                "tokens" => members = Some(read_members(deserializer, universe)?),
                 _ => deserializer.skip_value()?,
             }
         }
         let universe = serde::de::finish_field::<_, D::Error>(universe, "TokenSet", "universe")?;
-        let mut blocks: Vec<u64> =
-            serde::de::finish_field::<_, D::Error>(blocks, "TokenSet", "tokens")?;
-        if let Some(t) = lowest_member_from(&blocks, universe as usize) {
+        let members = match members {
+            Some(Members::Set(set)) if set.universe == universe => return Ok(set),
+            Some(Members::Set(set)) => set.iter().map(|t| t.0).collect(),
+            Some(Members::Pending(list)) => list,
+            None => {
+                return Err(serde::de::Error::custom(
+                    "missing field `tokens` of struct TokenSet",
+                ))
+            }
+        };
+        if let Some(&t) = members.iter().filter(|&&t| t >= universe).min() {
             return Err(outside_universe(t, universe));
         }
-        // Every bit at or above the universe is clear, so trimming or
-        // padding to the universe's block count keeps the members.
-        blocks.resize((universe as usize).div_ceil(BITS), 0);
-        Ok(TokenSet { universe, blocks })
+        Ok(TokenSet::from_tokens(
+            universe as usize,
+            members.into_iter().map(Token),
+        ))
     }
 }
 
-fn outside_universe<E: serde::de::Error>(t: usize, universe: u32) -> E {
-    E::custom(format_args!(
-        "token {t} outside universe of size {universe}"
-    ))
+/// A `tokens` array as read: a set over the universe read before it, or
+/// the bare members when none was.
+enum Members {
+    Set(TokenSet),
+    Pending(Vec<u32>),
 }
 
-/// Reads a `tokens` array into bitset blocks. Against a known
-/// `universe`, a member outside it is an error as soon as it is read,
-/// before it can grow the blocks past the universe.
+/// Reads a `tokens` array. Against a known `universe`, a member outside
+/// it is an error as soon as it is read.
 fn read_members<'de, D: Deserializer<'de> + ?Sized>(
     deserializer: &mut D,
     universe: Option<u32>,
-) -> Result<Vec<u64>, D::Error> {
-    let mut blocks = vec![0; universe.map_or(0, |u| (u as usize).div_ceil(BITS))];
+) -> Result<Members, D::Error> {
+    let mut members = match universe {
+        Some(u) => Members::Set(TokenSet::new(u as usize)),
+        None => Members::Pending(Vec::new()),
+    };
     deserializer.begin_seq()?;
     while deserializer.next_element()? {
         let t = u32::deserialize(deserializer)?;
-        if let Some(u) = universe.filter(|&u| t >= u) {
-            return Err(outside_universe(t as usize, u));
+        match &mut members {
+            Members::Set(set) if t >= set.universe => {
+                return Err(outside_universe(t, set.universe))
+            }
+            Members::Set(set) => {
+                set.insert(Token(t));
+            }
+            Members::Pending(list) => list.push(t),
         }
-        let (block, bit) = (t as usize / BITS, t as usize % BITS);
-        if block >= blocks.len() {
-            blocks.resize(block + 1, 0);
-        }
-        blocks[block] |= 1 << bit;
     }
-    Ok(blocks)
+    Ok(members)
 }
 
-/// The lowest member of the bitset `blocks` at or above `from`.
-fn lowest_member_from(blocks: &[u64], from: usize) -> Option<usize> {
-    let first = from / BITS;
-    blocks
-        .iter()
-        .enumerate()
-        .skip(first)
-        .find_map(|(i, &block)| {
-            let block = if i == first {
-                block & (u64::MAX << (from % BITS))
-            } else {
-                block
-            };
-            (block != 0).then(|| i * BITS + block.trailing_zeros() as usize)
-        })
+fn outside_universe<E: serde::de::Error>(t: u32, universe: u32) -> E {
+    E::custom(format_args!(
+        "token {t} outside universe of size {universe}"
+    ))
 }
 
 #[cfg(test)]
@@ -728,6 +783,7 @@ mod tests {
             r#"{"universe": 130, "tokens": [129, 0, 64]}"#,
             r#"{"tokens": [129, 0, 64], "universe": 130}"#,
             r#"{"tokens": [1], "extra": [{}], "tokens": [0, 129, 64], "universe": 2, "universe": 130}"#,
+            r#"{"universe": 255, "tokens": [64, 129, 0], "universe": 130}"#,
         ] {
             assert_eq!(
                 serde_json::from_str::<TokenSet>(json).unwrap(),
@@ -743,6 +799,10 @@ mod tests {
             (
                 r#"{"tokens": [1, 200, 70], "universe": 64}"#,
                 "token 70 outside universe of size 64",
+            ),
+            (
+                r#"{"universe": 255, "tokens": [200, 131], "universe": 130}"#,
+                "token 131 outside universe of size 130",
             ),
             (
                 r#"{"tokens": []}"#,

@@ -4,26 +4,53 @@
 use ocd::core::{prune, validate, Schedule, Token, TokenSet};
 use ocd::prelude::{DiGraph, Instance};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
-const UNIVERSE: usize = 180; // straddles several u64 blocks
+/// Universes on and around the word boundaries of both storages: a set
+/// keeps up to two words (128 tokens) inline and boxes larger ones.
+const UNIVERSES: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 180];
 
-fn token_vec() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0..UNIVERSE, 0..60)
+/// Draws a universe: three times in four one of [`UNIVERSES`], otherwise
+/// any size up to 200.
+fn universe() -> impl Strategy<Value = usize> {
+    (0..UNIVERSES.len() * 4 / 3, 0usize..=200)
+        .prop_map(|(pick, any)| UNIVERSES.get(pick).copied().unwrap_or(any))
 }
 
-fn to_set(tokens: &[usize]) -> TokenSet {
-    TokenSet::from_tokens(UNIVERSE, tokens.iter().map(|&i| Token::new(i)))
+/// Up to 60 raw draws, reduced into a universe by [`members`].
+fn raw_vec() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..1000, 0..60)
+}
+
+/// `raw` reduced into `0..universe` (empty for the empty universe).
+fn members(universe: usize, raw: &[usize]) -> Vec<usize> {
+    raw.iter()
+        .filter(|_| universe > 0)
+        .map(|t| t % universe)
+        .collect()
+}
+
+fn to_set(universe: usize, tokens: &[usize]) -> TokenSet {
+    TokenSet::from_tokens(universe, tokens.iter().map(|&i| Token::new(i)))
 }
 
 fn to_model(tokens: &[usize]) -> BTreeSet<usize> {
     tokens.iter().copied().collect()
 }
 
+fn hash_of(set: &TokenSet) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    set.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
     #[test]
-    fn tokenset_matches_btreeset_model(a in token_vec(), b in token_vec()) {
-        let (sa, sb) = (to_set(&a), to_set(&b));
+    fn tokenset_matches_btreeset_model(u in universe(), a in raw_vec(), b in raw_vec()) {
+        let (a, b) = (members(u, &a), members(u, &b));
+        let (sa, sb) = (to_set(u, &a), to_set(u, &b));
         let (ma, mb) = (to_model(&a), to_model(&b));
         prop_assert_eq!(sa.len(), ma.len());
         prop_assert_eq!(sa.is_empty(), ma.is_empty());
@@ -48,8 +75,8 @@ proptest! {
     }
 
     #[test]
-    fn tokenset_iteration_sorted_dedup(a in token_vec()) {
-        let s = to_set(&a);
+    fn tokenset_iteration_sorted_dedup(u in universe(), a in raw_vec()) {
+        let s = to_set(u, &members(u, &a));
         let items: Vec<usize> = s.iter().map(Token::index).collect();
         let mut sorted = items.clone();
         sorted.sort_unstable();
@@ -58,8 +85,8 @@ proptest! {
     }
 
     #[test]
-    fn tokenset_truncate_is_prefix(a in token_vec(), n in 0usize..70) {
-        let s = to_set(&a);
+    fn tokenset_truncate_is_prefix(u in universe(), a in raw_vec(), n in 0usize..70) {
+        let s = to_set(u, &members(u, &a));
         let mut t = s.clone();
         t.truncate(n);
         prop_assert_eq!(t.len(), s.len().min(n));
@@ -68,8 +95,9 @@ proptest! {
     }
 
     #[test]
-    fn tokenset_next_cyclic_always_member(a in token_vec(), from in 0usize..UNIVERSE) {
-        let s = to_set(&a);
+    fn tokenset_next_cyclic_always_member(u in universe(), a in raw_vec(), from in 0usize..1000) {
+        let s = to_set(u, &members(u, &a));
+        let from = from % (u + 1);
         match s.next_cyclic(Token::new(from)) {
             None => prop_assert!(s.is_empty()),
             Some(t) => {
@@ -83,11 +111,76 @@ proptest! {
     }
 
     #[test]
-    fn tokenset_serde_round_trip(a in token_vec()) {
-        let s = to_set(&a);
+    fn tokenset_serde_round_trip(u in universe(), a in raw_vec()) {
+        let s = to_set(u, &members(u, &a));
         let json = serde_json::to_string(&s).unwrap();
         let back: TokenSet = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(s, back);
+    }
+
+    #[test]
+    fn tokenset_insert_remove_contains_match_model(
+        u in universe(),
+        ops in proptest::collection::vec((proptest::bool::ANY, 0usize..1000), 0..80),
+    ) {
+        let mut set = TokenSet::new(u);
+        let mut model = BTreeSet::new();
+        for (insert, raw) in ops.into_iter().filter(|_| u > 0) {
+            let t = raw % u;
+            if insert {
+                prop_assert_eq!(set.insert(Token::new(t)), model.insert(t));
+            } else {
+                prop_assert_eq!(set.remove(Token::new(t)), model.remove(&t));
+            }
+        }
+        for t in 0..u {
+            prop_assert_eq!(set.contains(Token::new(t)), model.contains(&t));
+        }
+        prop_assert_eq!(set.first().map(Token::index), model.first().copied());
+        prop_assert_eq!(set.len(), model.len());
+    }
+
+    #[test]
+    fn tokenset_clear_copy_from_and_full(u in universe(), a in raw_vec(), b in raw_vec()) {
+        let (a, b) = (to_set(u, &members(u, &a)), to_set(u, &members(u, &b)));
+        let mut copy = b.clone();
+        copy.copy_from(&a);
+        prop_assert_eq!(&copy, &a);
+        copy.clear();
+        prop_assert!(copy.is_empty());
+        prop_assert_eq!(copy, TokenSet::new(u));
+        let full = TokenSet::full(u);
+        prop_assert!(full.is_full());
+        prop_assert_eq!(full.len(), u);
+        prop_assert_eq!(&full, &TokenSet::from_range(u, 0..u));
+        prop_assert_eq!(full.first().map(Token::index), (u > 0).then_some(0));
+        prop_assert_eq!(a.is_full(), a.len() == u);
+        prop_assert!(a.is_subset(&full));
+    }
+
+    #[test]
+    fn tokenset_equal_sets_compare_and_hash_equal(u in universe(), a in raw_vec(), b in raw_vec()) {
+        let (a, b) = (members(u, &a), members(u, &b));
+        let reference = to_set(u, &a);
+        // The same members, built five other ways.
+        let mut reversed = TokenSet::new(u);
+        for &t in a.iter().rev() {
+            reversed.insert(Token::new(t));
+        }
+        let mut grown_and_shrunk = to_set(u, &b);
+        grown_and_shrunk.union_with(&reference);
+        for t in to_model(&b).difference(&to_model(&a)) {
+            grown_and_shrunk.remove(Token::new(*t));
+        }
+        let complement = TokenSet::full(u).difference(&TokenSet::full(u).difference(&reference));
+        let mut copied = TokenSet::full(u);
+        copied.copy_from(&reference);
+        let decoded: TokenSet =
+            serde_json::from_str(&serde_json::to_string(&reference).unwrap()).unwrap();
+        for other in [reversed, grown_and_shrunk, complement, copied, decoded] {
+            prop_assert_eq!(&other, &reference);
+            prop_assert_eq!(hash_of(&other), hash_of(&reference));
+        }
     }
 }
 
