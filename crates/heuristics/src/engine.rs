@@ -22,7 +22,9 @@
 //! is recording the outputs the caller asked for (the schedule, the
 //! trace, and — when the medium requests them — the capacity trace and
 //! rejection counts) and whatever the strategy allocates for its own
-//! sends.
+//! sends. A [`TokenSet`] over at most 128 tokens stores its words
+//! inline, so for such universes the sets themselves (the sends a
+//! strategy plans, the copies the schedule keeps) never allocate.
 
 use crate::medium::{Ideal, Medium};
 use crate::{Strategy, WorldView};
