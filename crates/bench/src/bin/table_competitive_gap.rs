@@ -9,17 +9,19 @@
 //!    distance); local-knowledge tiers pay a factor that grows with the
 //!    decoy count, so no constant c bounds their competitive ratio.
 //! 2. **broadcast-exact** — uplink-constrained broadcast on tiny
-//!    complete overlays, scored against the *exact* optimum from
-//!    [`ocd_heuristics::optimal::brute_force_uplink_makespan`] (which
-//!    the `optimal` module certifies equal to the Mundinger–Weber–Weiss
-//!    closed form at unit uplinks).
+//!    complete overlays, scored against the *exact* optimum of
+//!    [`broadcast_instance`] from the budget-aware branch-and-bound
+//!    state search ([`solve_focd`]), which the workspace's cross-check
+//!    tests certify equal to the Mundinger–Weber–Weiss closed form at
+//!    unit uplinks. The oracle column keeps its `brute-force` label:
+//!    the search is exhaustive over possession states.
 //! 3. **broadcast-scaled** — the same regime at `n` far beyond
-//!    brute-force reach (peers ∈ {100, 1000}; `--full` adds 2000,
+//!    exhaustive-search reach (peers ∈ {100, 1000}; `--full` adds 2000,
 //!    `--quick` keeps only 100), scored against the closed form
 //!    ([`mww_makespan`]) at unit uplinks and the certified lower bound
 //!    ([`uplink_makespan_lower_bound`]) when the server uplink differs.
-//! 4. **broadcast-ip** — heterogeneous-uplink broadcasts past the
-//!    brute-force ceiling but within reach of the exact IP stack
+//! 4. **broadcast-ip** — heterogeneous-uplink broadcasts larger than
+//!    section 2's, certified by the exact IP stack
 //!    ([`makespan_via_ip`]): the oracle is a *certificate*, not a lower
 //!    bound, so every heuristic ratio in this section — including the
 //!    budget-aware per-neighbor-queue — is a true competitive ratio in
@@ -41,11 +43,10 @@ use ocd_bench::table::Table;
 use ocd_core::bounds::makespan_lower_bound;
 use ocd_core::{Instance, Token, TokenSet};
 use ocd_graph::generate::classic;
-use ocd_heuristics::optimal::{
-    broadcast_instance, brute_force_uplink_makespan, mww_makespan, uplink_makespan_lower_bound,
-};
+use ocd_heuristics::optimal::{broadcast_instance, mww_makespan, uplink_makespan_lower_bound};
 use ocd_heuristics::{simulate, simulate_with, Ideal, NodeCapacity, SimConfig, StrategyKind};
 use ocd_lp::MipOptions;
+use ocd_solver::bnb::{solve_focd, BnbOptions};
 use ocd_solver::ip::{makespan_via_ip, MakespanOutcome};
 use rand::prelude::*;
 
@@ -169,14 +170,17 @@ fn main() {
         }
     }
 
-    // ---- section 2: brute-force-certified tiny broadcasts ----------
+    // ---- section 2: search-certified tiny broadcasts ---------------
     let exact_grid: &[(usize, usize, u32, u32)] = if args.quick {
         &[(2, 3, 1, 1), (2, 3, 2, 1)]
     } else {
         &[(2, 3, 1, 1), (3, 4, 1, 1), (2, 3, 2, 1), (3, 4, 2, 1)]
     };
     for &(parts, peers, server_up, peer_up) in exact_grid {
-        let exact = brute_force_uplink_makespan(parts, peers, server_up, peer_up);
+        let instance = broadcast_instance(parts, peers, server_up, peer_up);
+        let exact = solve_focd(&instance, &BnbOptions::default())
+            .expect("small broadcasts fit the search")
+            .makespan;
         if server_up == 1 && peer_up == 1 {
             assert_eq!(exact, mww_makespan(parts, peers), "closed form certified");
         }
@@ -274,11 +278,10 @@ fn main() {
 
     // ---- section 4: IP-certified heterogeneous anchors -------------
     // Exact optima from the sparse-simplex / warm-started-B&B stack on
-    // broadcasts the brute-force enumerator (M ≤ 8 tokens, N ≤ 5 peers)
-    // cannot reach. The unit-uplink member cross-checks the IP
-    // certificate against the MWW closed form; the heterogeneous
-    // members have no closed form at all — the certificate is the only
-    // exact anchor available.
+    // broadcasts larger than section 2's. The unit-uplink member
+    // cross-checks the IP certificate against the MWW closed form; the
+    // heterogeneous members have no closed form at all — the
+    // certificate is the only exact anchor available.
     let ip_grid: &[(usize, usize, u32, u32)] = if args.quick {
         &[(2, 6, 2, 1)]
     } else {

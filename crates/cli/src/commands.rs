@@ -2061,6 +2061,18 @@ mod tests {
     }
 
     #[test]
+    fn solve_time_honors_node_budgets() {
+        // Mundinger–Weber–Weiss broadcast, 3 parts to 4 peers at unit
+        // uplinks: the optimum is M − 1 + ⌈log₂(N + 1)⌉ = 5, not the 2
+        // steps the arc capacities alone would allow.
+        let inst = tmp("mww_3_4.json");
+        let instance = ocd_heuristics::optimal::broadcast_instance(3, 4, 1, 1);
+        std::fs::write(&inst, serde_json::to_string(&instance).unwrap()).unwrap();
+        let time = run(&["solve", "--instance", &inst, "--objective", "time"]).unwrap();
+        assert!(time.contains("optimal makespan: 5 timesteps"), "{time}");
+    }
+
+    #[test]
     fn bounds_output() {
         let inst = tmp("bounds.json");
         run(&[

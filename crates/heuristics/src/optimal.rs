@@ -7,18 +7,18 @@
 //! per *node* uplink rather than per arc. For unit uplinks the discrete
 //! optimal makespan has a closed form ([`mww_makespan`]); for unequal
 //! server/peer uplinks this module exposes a certified *lower bound*
-//! ([`uplink_makespan_lower_bound`]) and a node-capacity-aware
-//! brute-force exact solver ([`brute_force_uplink_makespan`]) that pins
-//! both on small instances (the repo's branch-and-bound solver is
-//! arc-capacitated and cannot express shared uplinks).
+//! ([`uplink_makespan_lower_bound`]). [`broadcast_instance`] builds the
+//! broadcast itself, whose exact optimum on small sizes comes from
+//! `ocd-solver`'s branch-and-bound state search, which honors the node
+//! budgets; the workspace's `tests/exact_cross_checks.rs` pins the
+//! closed form and the bound against it.
 //!
 //! `table_competitive_gap` uses these as denominators for
 //! competitive-ratio scoring of the paper's heuristics at sizes far
-//! beyond brute-force reach.
+//! beyond exhaustive search.
 
 use ocd_core::{Instance, NodeBudgets, Token};
 use ocd_graph::generate::classic;
-use std::collections::{HashSet, VecDeque};
 
 /// `⌈log₂ x⌉` for `x ≥ 1`.
 fn ceil_log2(x: usize) -> usize {
@@ -40,9 +40,9 @@ fn ceil_log2(x: usize) -> usize {
 /// at best doubles per step, so reaching all `N + 1` vertices takes
 /// ≥ `⌈log₂(N+1)⌉ − 1` further steps. *Why it is achieved*: greedy
 /// rarest-first per-neighbor-queue scheduling meets it (see
-/// [`PerNeighborQueue`](crate::PerNeighborQueue)); the unit tests in
-/// this module certify exactness against [`brute_force_uplink_makespan`]
-/// for every `M ≤ 3, N ≤ 4`.
+/// [`PerNeighborQueue`](crate::PerNeighborQueue)); the workspace's
+/// cross-check tests certify exactness against the exact state search
+/// on [`broadcast_instance`] for every `M ≤ 3, N ≤ 4`.
 ///
 /// Degenerate cases: 0 parts or 0 peers need 0 steps.
 #[must_use]
@@ -68,8 +68,10 @@ pub fn mww_makespan(parts: usize, peers: usize) -> usize {
 ///   `server_up + holders·peer_up` per step and must reach `N`.
 ///
 /// At `server_up == peer_up == 1` the bound equals [`mww_makespan`],
-/// i.e. it is tight; in general it is a lower bound only (the module's
-/// tests pin `bound ≤ brute-force optimum` on every small case).
+/// i.e. it is tight; in general it is a lower bound only (the
+/// workspace's cross-check tests pin `bound ≤` the exact search's
+/// optimum on [`broadcast_instance`] for every `M ≤ 3, N ≤ 4`, server
+/// uplink 1–3 and peer uplink 0–2).
 ///
 /// # Panics
 ///
@@ -115,242 +117,6 @@ pub fn uplink_makespan_lower_bound(
     counting.max(last_part)
 }
 
-/// Exact optimal broadcast makespan by breadth-first search over
-/// possession states, with per-step feasibility decided by a
-/// sender-capacity matching — the node-capacity analogue of the
-/// arc-capacitated branch-and-bound in `ocd-solver`, reachable only for
-/// tiny instances (`parts ≤ 8`, `peers ≤ 5`).
-///
-/// Model: complete overlay, server (holding all `parts`) plus `peers`
-/// empty peers; per step each vertex uploads at most its uplink
-/// (`server_up` / `peer_up`) tokens, counting duplicates; downloads and
-/// per-arc capacities unconstrained; store-and-forward (tokens received
-/// this step are usable next step).
-///
-/// # Panics
-///
-/// Panics if `parts > 8` or `peers > 5` (state space blow-up) or if
-/// `server_up == 0` while work remains.
-#[must_use]
-pub fn brute_force_uplink_makespan(
-    parts: usize,
-    peers: usize,
-    server_up: u32,
-    peer_up: u32,
-) -> usize {
-    if parts == 0 || peers == 0 {
-        return 0;
-    }
-    assert!(
-        parts <= 8 && peers <= 5,
-        "brute force is for tiny instances"
-    );
-    assert!(server_up > 0, "a silent server can never broadcast");
-    let full: u16 = (1 << parts) - 1;
-    let start = vec![0u16; peers];
-    if start.iter().all(|&mask| mask == full) {
-        return 0;
-    }
-    let mut visited: HashSet<Vec<u16>> = HashSet::new();
-    visited.insert(start.clone());
-    let mut frontier = VecDeque::new();
-    frontier.push_back((start, 0usize));
-    while let Some((state, depth)) = frontier.pop_front() {
-        let mut done = None;
-        for_each_successor(&state, full, server_up, peer_up, |next| {
-            if done.is_some() || !visited.insert(next.to_vec()) {
-                return;
-            }
-            if next.iter().all(|&mask| mask == full) {
-                done = Some(depth + 1);
-            } else {
-                frontier.push_back((next.to_vec(), depth + 1));
-            }
-        });
-        if let Some(t) = done {
-            return t;
-        }
-    }
-    unreachable!("broadcast with a positive server uplink always completes");
-}
-
-/// Enumerates every distinct canonical successor of `state` (one step of
-/// feasible transfers) and feeds it to `emit`.
-fn for_each_successor(
-    state: &[u16],
-    full: u16,
-    server_up: u32,
-    peer_up: u32,
-    mut emit: impl FnMut(&[u16]),
-) {
-    let peers = state.len();
-    // Total upload capacity this step bounds how many tokens can land.
-    let active = state.iter().filter(|&&mask| mask != 0).count() as u64;
-    let max_transfers = u64::from(server_up) + active * u64::from(peer_up);
-
-    // Recursively choose each peer's receive set (a subset of what it
-    // is missing), pruning on the total-capacity bound, then check the
-    // sender assignment exists.
-    let mut receive = vec![0u16; peers];
-    let mut stack: Vec<(usize, u64)> = vec![(0, 0)];
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        peer: usize,
-        used: u64,
-        state: &[u16],
-        full: u16,
-        receive: &mut Vec<u16>,
-        max_transfers: u64,
-        server_up: u32,
-        peer_up: u32,
-        emit: &mut impl FnMut(&[u16]),
-    ) {
-        if peer == state.len() {
-            if used == 0 {
-                return; // an idle step never helps a makespan search
-            }
-            if feasible(state, receive, server_up, peer_up) {
-                let mut next: Vec<u16> = state
-                    .iter()
-                    .zip(receive.iter())
-                    .map(|(&mask, &gain)| mask | gain)
-                    .collect();
-                next.sort_unstable_by(|a, b| b.cmp(a));
-                emit(&next);
-            }
-            return;
-        }
-        let missing = full & !state[peer];
-        // Iterate all subsets of `missing`, including the empty set.
-        let mut sub = missing;
-        loop {
-            let gain = u64::from(sub.count_ones());
-            if used + gain <= max_transfers {
-                receive[peer] = sub;
-                recurse(
-                    peer + 1,
-                    used + gain,
-                    state,
-                    full,
-                    receive,
-                    max_transfers,
-                    server_up,
-                    peer_up,
-                    emit,
-                );
-            }
-            if sub == 0 {
-                break;
-            }
-            sub = (sub - 1) & missing;
-        }
-        receive[peer] = 0;
-    }
-    let _ = &mut stack;
-    recurse(
-        0,
-        0,
-        state,
-        full,
-        &mut receive,
-        max_transfers,
-        server_up,
-        peer_up,
-        &mut emit,
-    );
-}
-
-/// Whether the per-peer receive sets admit a sender assignment: every
-/// (receiver, token) demand is served by a vertex that held the token
-/// at the start of the step (the server, or a peer other than the
-/// receiver) without any sender exceeding its uplink. Solved as
-/// capacity-constrained bipartite matching with augmenting paths.
-fn feasible(state: &[u16], receive: &[u16], server_up: u32, peer_up: u32) -> bool {
-    let peers = state.len();
-    // Sender 0 is the server; sender i+1 is peer i.
-    let caps: Vec<u32> = std::iter::once(server_up)
-        .chain(
-            state
-                .iter()
-                .map(|&mask| if mask == 0 { 0 } else { peer_up }),
-        )
-        .collect();
-    let mut demands: Vec<(usize, u16)> = Vec::new();
-    for (r, &gain) in receive.iter().enumerate() {
-        let mut bits = gain;
-        while bits != 0 {
-            let bit = bits & bits.wrapping_neg();
-            demands.push((r, bit));
-            bits ^= bit;
-        }
-    }
-    let eligible = |d: (usize, u16)| -> Vec<usize> {
-        let (receiver, bit) = d;
-        let mut senders = vec![0usize];
-        for (q, &mask) in state.iter().enumerate() {
-            if q != receiver && mask & bit != 0 {
-                senders.push(q + 1);
-            }
-        }
-        senders
-    };
-    let mut assigned: Vec<Option<usize>> = vec![None; demands.len()];
-    let mut load = vec![0u32; peers + 1];
-
-    fn try_assign(
-        d: usize,
-        demands: &[(usize, u16)],
-        eligible: &dyn Fn((usize, u16)) -> Vec<usize>,
-        caps: &[u32],
-        assigned: &mut Vec<Option<usize>>,
-        load: &mut Vec<u32>,
-        visited: &mut Vec<bool>,
-    ) -> bool {
-        for s in eligible(demands[d]) {
-            if visited[s] || caps[s] == 0 {
-                continue;
-            }
-            visited[s] = true;
-            if load[s] < caps[s] {
-                assigned[d] = Some(s);
-                load[s] += 1;
-                return true;
-            }
-            // Try to reroute one of s's current demands elsewhere.
-            for d2 in 0..demands.len() {
-                if assigned[d2] == Some(s) {
-                    load[s] -= 1;
-                    assigned[d2] = None;
-                    if try_assign(d2, demands, eligible, caps, assigned, load, visited) {
-                        assigned[d] = Some(s);
-                        load[s] += 1;
-                        return true;
-                    }
-                    assigned[d2] = Some(s);
-                    load[s] += 1;
-                }
-            }
-        }
-        false
-    }
-
-    for d in 0..demands.len() {
-        let mut visited = vec![false; peers + 1];
-        if !try_assign(
-            d,
-            &demands,
-            &eligible,
-            &caps,
-            &mut assigned,
-            &mut load,
-            &mut visited,
-        ) {
-            return false;
-        }
-    }
-    true
-}
-
 /// Builds the Mundinger–Weber–Weiss broadcast instance: vertex 0 (the
 /// server) holds all `parts` tokens on a complete symmetric overlay of
 /// `1 + peers` vertices, everyone wants everything, and the attached
@@ -382,22 +148,6 @@ mod tests {
     use rand::prelude::*;
 
     #[test]
-    fn closed_form_matches_brute_force_at_unit_uplinks() {
-        // The oracle is certified before anything is scored against it:
-        // every (M ≤ 3, N ≤ 4) optimum from exhaustive search equals
-        // the closed form.
-        for parts in 1..=3 {
-            for peers in 1..=4 {
-                assert_eq!(
-                    brute_force_uplink_makespan(parts, peers, 1, 1),
-                    mww_makespan(parts, peers),
-                    "closed form wrong at M = {parts}, N = {peers}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn closed_form_spot_values() {
         assert_eq!(mww_makespan(1, 1), 1);
         assert_eq!(mww_makespan(1, 3), 2);
@@ -421,37 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_never_exceeds_brute_force_optimum() {
-        for parts in 1..=3 {
-            for peers in 1..=4 {
-                for server_up in 1..=3 {
-                    for peer_up in 0..=2 {
-                        let exact = brute_force_uplink_makespan(parts, peers, server_up, peer_up);
-                        let bound = uplink_makespan_lower_bound(parts, peers, server_up, peer_up);
-                        assert!(
-                            bound <= exact,
-                            "bound {bound} > optimum {exact} at M = {parts}, N = {peers}, \
-                             s = {server_up}, p = {peer_up}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn brute_force_unequal_uplink_spot_values() {
-        // Fat server, unit peers: both parts leave the server in step 1,
-        // and the 4 remaining deliveries fit in step 2 (verified by an
-        // explicit schedule during design).
-        assert_eq!(brute_force_uplink_makespan(2, 3, 2, 1), 2);
-        // Silent peers: the server alone delivers N·M transfers at
-        // `server_up` per step.
-        assert_eq!(brute_force_uplink_makespan(2, 2, 1, 0), 4);
-        assert_eq!(brute_force_uplink_makespan(2, 2, 2, 0), 2);
-    }
-
-    #[test]
     fn broadcast_instance_shape() {
         let inst = broadcast_instance(3, 4, 2, 1);
         assert_eq!(inst.num_vertices(), 5);
@@ -468,7 +187,7 @@ mod tests {
     fn per_neighbor_queue_meets_the_oracle_on_small_broadcasts() {
         // The policy the oracle module vouches for: on every tiny
         // unit-uplink broadcast, per-neighbor-queue scheduling achieves
-        // the brute-force optimum exactly (competitive ratio 1.0).
+        // the closed-form optimum exactly (competitive ratio 1.0).
         for parts in 1..=3 {
             for peers in 2..=4 {
                 let inst = broadcast_instance(parts, peers, 1, 1);

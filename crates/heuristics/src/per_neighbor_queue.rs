@@ -249,9 +249,9 @@ mod tests {
     #[test]
     fn achieves_optimal_makespan_on_broadcast() {
         // M = 2 parts, N = 3 peers, unit uplinks: the optimal makespan
-        // is M - 1 + ceil(log2(N + 1)) = 3 (certified in the `optimal`
-        // module against brute force). The per-neighbor-queue policy
-        // must hit it exactly.
+        // is M - 1 + ceil(log2(N + 1)) = 3 (certified against the exact
+        // state search in tests/exact_cross_checks.rs). The
+        // per-neighbor-queue policy must hit it exactly.
         let g = classic::complete(4, 8);
         let instance = Instance::builder(g, 2)
             .have(0, [Token::new(0), Token::new(1)])

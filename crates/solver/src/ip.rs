@@ -22,8 +22,9 @@
 //! EOCD restricted to schedules of at most `τ` steps. Sweeping `τ`
 //! traces the Figure 1 makespan/bandwidth trade-off, and
 //! [`makespan_via_ip`] turns the same sweep into a certified optimal
-//! makespan — the only exact makespan path that honors node budgets
-//! (the combinatorial [`bnb`](crate::bnb) solver ignores them).
+//! makespan. Both it and the combinatorial [`bnb`](crate::bnb) search
+//! honor node budgets; where the MILP runs out of nodes, the sweep
+//! hands the undecided horizons to that search.
 //!
 //! The model is emitted **column-wise**: every constraint row is
 //! declared up front ([`Problem::new_constraint`]) and each binary
@@ -34,6 +35,7 @@
 // Time-indexed variable tables read naturally with explicit indices.
 #![allow(clippy::needless_range_loop)]
 
+use crate::bnb::{deepen, Deepening};
 use crate::SolveError;
 use ocd_core::span::{NoopSpans, SpanRecorder};
 use ocd_core::{Instance, NodeBudgets, Schedule, Token, TokenSet};
@@ -366,12 +368,18 @@ pub struct MakespanCertificate {
     pub makespan: usize,
     /// Witness solve at the optimal horizon. With default [`MipOptions`]
     /// its schedule also has minimum bandwidth among makespan-optimal
-    /// schedules; with a large `absolute_gap` it is merely feasible.
+    /// schedules; with a large `absolute_gap`, or when `searched_from`
+    /// is set, it is merely feasible. A witness from the state search
+    /// reports 0 MILP nodes and LP iterations.
     pub result: IpResult,
     /// Horizons below `makespan` that were certified infeasible (the
     /// combinatorial radius and counting lower bounds dispose of the
     /// rest for free).
     pub infeasible_horizons: usize,
+    /// The horizon at which the MILP ran out of nodes, if it did: the
+    /// [`bnb`](crate::bnb) state search decided every horizon from it
+    /// up to `makespan`, and the MILP every one below it.
+    pub searched_from: Option<usize>,
 }
 
 /// Outcome of the exact-makespan sweep.
@@ -379,8 +387,9 @@ pub struct MakespanCertificate {
 pub enum MakespanOutcome {
     /// Optimal makespan found and certified.
     Certified(MakespanCertificate),
-    /// The MILP hit its node limit at `stalled_at` before deciding it.
-    /// Every horizon `< stalled_at` is proven infeasible, so `stalled_at`
+    /// Neither the MILP nor the state search it falls back on decided
+    /// `stalled_at` within their node limits. Every
+    /// horizon `< stalled_at` is proven infeasible, so `stalled_at`
     /// is still a valid makespan **lower bound**; pairing it with any
     /// heuristic schedule's makespan gives a reported gap.
     ResourceLimit {
@@ -405,18 +414,21 @@ pub enum MakespanOutcome {
 /// and the MILP to decide the rest. The first feasible horizon is the
 /// optimum, certified by the chain of infeasibility proofs below it.
 ///
-/// This is the only *exact* makespan path that honors
-/// [`NodeBudgets`] — the combinatorial
-/// [`bnb`](crate::bnb) solver ignores them. Pass a large
-/// `absolute_gap` in `options` to stop each feasible MILP at its first
-/// incumbent (pure feasibility mode — the makespan certificate is
-/// unaffected, only the witness schedule's bandwidth optimality).
+/// The sweep honors [`NodeBudgets`]. If the MILP exhausts its node
+/// limit at some horizon, the [`bnb`](crate::bnb) state search decides
+/// that horizon and the later ones instead, allowed about 250
+/// enumerated steps per MILP node of `options.node_limit`; the
+/// certificate's `searched_from` says where it took over.
+/// Pass a large `absolute_gap` in `options` to stop each feasible MILP
+/// at its first incumbent (pure feasibility mode — the makespan
+/// certificate is unaffected, only the witness schedule's bandwidth
+/// optimality).
 ///
 /// # Errors
 ///
 /// [`SolveError::Mip`] only on unexpected simplex failures; node-limit
-/// exhaustion is reported as [`MakespanOutcome::ResourceLimit`], not an
-/// error.
+/// exhaustion of both the MILP and the state search is reported as
+/// [`MakespanOutcome::ResourceLimit`], not an error.
 pub fn makespan_via_ip(
     instance: &Instance,
     max_horizon: usize,
@@ -481,18 +493,73 @@ pub fn makespan_via_ip_with_spans<S: SpanRecorder>(
                         lp_iterations: sol.lp_iterations,
                     },
                     infeasible_horizons,
+                    searched_from: None,
                 }));
             }
             Err(LpError::Infeasible) => {
                 infeasible_horizons += 1;
             }
             Err(LpError::NodeLimit) => {
-                return Ok(MakespanOutcome::ResourceLimit { stalled_at: tau });
+                let outcome = search_from(
+                    instance,
+                    tau,
+                    max_horizon,
+                    options,
+                    infeasible_horizons,
+                    spans,
+                );
+                return Ok(outcome);
             }
             Err(e) => return Err(SolveError::Mip(e.to_string())),
         }
     }
     Ok(MakespanOutcome::InfeasibleUpTo(max_horizon))
+}
+
+/// Enumerated steps the state search may take per MILP node allowed
+/// when it decides the horizons a stalled MILP left open: at about
+/// 0.4 ms per warm MILP node and 2 µs per enumerated step on the
+/// stalled `G(6, p)` unit-uplink instances, the search then costs no
+/// more than the MILP it replaces.
+const SEARCH_STEPS_PER_MIP_NODE: u64 = 250;
+
+/// Decides the horizons `stalled_at..=max_horizon` that a stalled MILP
+/// left open by the [`bnb`](crate::bnb) state search. An instance
+/// without node budgets is searched as if they were unlimited, so that
+/// every enumerated step counts against the work budget.
+fn search_from<S: SpanRecorder>(
+    instance: &Instance,
+    stalled_at: usize,
+    max_horizon: usize,
+    options: &MipOptions,
+    infeasible_horizons: usize,
+    spans: &mut S,
+) -> MakespanOutcome {
+    let n = instance.num_vertices();
+    let unlimited = NodeBudgets::uniform(n, NodeBudgets::UNLIMITED, NodeBudgets::UNLIMITED);
+    let budgets = instance.node_budgets().unwrap_or(&unlimited);
+    let work = (options.node_limit as u64).saturating_mul(SEARCH_STEPS_PER_MIP_NODE);
+    match deepen(
+        instance,
+        Some(budgets),
+        stalled_at..=max_horizon,
+        work,
+        spans,
+    ) {
+        Deepening::Found(found) => MakespanOutcome::Certified(MakespanCertificate {
+            makespan: found.makespan,
+            result: IpResult {
+                bandwidth: found.schedule.bandwidth(),
+                schedule: found.schedule,
+                mip_nodes: 0,
+                lp_iterations: 0,
+            },
+            infeasible_horizons: infeasible_horizons + found.makespan - stalled_at,
+            searched_from: Some(stalled_at),
+        }),
+        Deepening::Stalled(tau) => MakespanOutcome::ResourceLimit { stalled_at: tau },
+        Deepening::Exhausted => MakespanOutcome::InfeasibleUpTo(max_horizon),
+    }
 }
 
 /// Bandwidth lower bound from the **LP relaxation** of the §3.4 IP at
@@ -867,6 +934,64 @@ mod tests {
             makespan_via_ip(&inst, 4, &opts).unwrap(),
             MakespanOutcome::ResourceLimit { stalled_at: 2 }
         ));
+    }
+
+    #[test]
+    fn stalled_milp_falls_back_to_the_state_search() {
+        // A seed-drawn G(6, p) unit-uplink broadcast whose optimum is 8:
+        // the MILP refutes τ = 4..6, then exhausts 1,250 nodes at τ = 7.
+        // The state search refutes 7 and certifies 8.
+        use ocd_graph::generate::{gnp, GnpConfig};
+        use rand::prelude::*;
+        let config = GnpConfig {
+            capacity: 1..=1,
+            ..GnpConfig::paper(6)
+        };
+        let g = gnp(
+            &config,
+            &mut StdRng::seed_from_u64(17_061_486_795_440_192_168),
+        );
+        let instance = Instance::builder(g, 2)
+            .have_set(0, TokenSet::full(2))
+            .want_all_everywhere()
+            .node_budgets(NodeBudgets::uplink_only(6, 1))
+            .build()
+            .unwrap();
+        let options = MipOptions {
+            node_limit: 1_250,
+            absolute_gap: 1e12,
+            ..MipOptions::default()
+        };
+        let MakespanOutcome::Certified(cert) = makespan_via_ip(&instance, 12, &options).unwrap()
+        else {
+            panic!("the state search must decide the stalled horizons");
+        };
+        assert_eq!(cert.makespan, 8);
+        assert_eq!(cert.searched_from, Some(7));
+        assert_eq!(
+            cert.infeasible_horizons, 4,
+            "τ = 4..6 by the MILP, 7 by the search"
+        );
+        assert_eq!(cert.result.schedule.makespan(), 8);
+        assert!(validate::replay(&instance, &cert.result.schedule)
+            .unwrap()
+            .is_successful());
+
+        // Without budgets the search reads them as unlimited: one MILP
+        // node cannot settle the 3-token relay down a path, 250
+        // enumerated steps can.
+        let free = single_file(classic::path(4, 1, false), 3, 0);
+        let options = MipOptions {
+            node_limit: 1,
+            ..MipOptions::default()
+        };
+        let MakespanOutcome::Certified(cert) = makespan_via_ip(&free, 8, &options).unwrap() else {
+            panic!("the state search must decide the stalled horizon");
+        };
+        assert_eq!((cert.makespan, cert.searched_from), (5, Some(5)));
+        assert!(validate::replay(&free, &cert.result.schedule)
+            .unwrap()
+            .is_successful());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! optimal solutions for small graphs." This crate implements both:
 //!
 //! - [`bnb`]: exact **FOCD** (minimum makespan) via iterative-deepening
-//!   branch and bound over timesteps, pruned by the admissible bounds of
-//!   `ocd-core::bounds` and a possession-state transposition table.
+//!   branch and bound over timesteps, under arc capacities and node
+//!   budgets, pruned by the admissible bounds of `ocd-core::bounds` and
+//!   a possession-state transposition table.
 //! - [`ip`]: the §3.4 **time-indexed integer program** for EOCD (minimum
 //!   bandwidth within a horizon), built on the `ocd-lp` MILP solver,
 //!   plus the horizon sweep that traces the makespan/bandwidth Pareto

@@ -113,6 +113,22 @@ fn hybrid_objective_bridges_both_exact_solvers() {
 }
 
 #[test]
+fn hybrid_objective_honors_node_budgets() {
+    // 3 parts to 4 peers at unit uplinks: τ* = 5 (the MWW closed
+    // form), and the α = 1.5 horizon of 7 steps admits the 12 transfers
+    // the deficiency bound demands.
+    let instance = ocd::heuristics::optimal::broadcast_instance(3, 4, 1, 1);
+    let (tau, result) =
+        min_bandwidth_within_factor(&instance, 1.5, &Default::default(), &Default::default())
+            .unwrap();
+    assert_eq!((tau, result.bandwidth), (5, 12));
+    assert!(result.schedule.makespan() <= 7);
+    assert!(validate::replay(&instance, &result.schedule)
+        .unwrap()
+        .is_successful());
+}
+
+#[test]
 fn tree_stripe_baseline_integrates() {
     let mut rng = StdRng::seed_from_u64(6);
     let instance = single_file(paper_random(24, &mut rng), 18, 0);
